@@ -61,45 +61,56 @@ let cases =
     { c_name = "brk()"; c_stdin = ""; c_setup = ignore;
       c_body = Printf.sprintf "        movi r0, %d\n        movi r1, 0\n        sys\n" (num Syscall.Brk) } ]
 
-(* Run one trial; returns the measured cycle delta together with the
-   kernel, whose per-kernel metrics registry carries the checker's
-   per-verification-step cycle counters for the run (and, with
-   [use_vcache]/[use_precomp], the fast paths' hit/miss counters), and the
-   host-side allocation gauge: minor-heap words allocated per loop
-   iteration strictly around [Kernel.run]. *)
-let measure_run ~authenticated ?(use_vcache = false) ?(use_precomp = false)
-    ?(use_cfpre = false) ~control_flow case =
+(* The checker configurations table4 compares, slowest first: the paper's
+   slow path, then each fast-path layer stacked on the ones before it. The
+   last arms every layer, as the deployment checker the tools run does. *)
+type config = {
+  cfg_name : string;
+  cfg_title : string;
+  layers : Asc_core.Checker.layer list;  (* armed, in stacking order *)
+}
+
+let configs =
+  let config cfg_name cfg_title layers = { cfg_name; cfg_title; layers } in
+  Asc_core.Checker.
+    [ config "auth" "Authenticated" [];
+      config "vcache" "Auth+cache" [ Vcache ];
+      config "vcache_precomp" "Auth+pre" [ Vcache; Precomp ];
+      config "full" "Auth+cf" [ Vcache; Precomp; Cfpre ] ]
+
+(* The checker [config] arms, its layers publishing in [kernel]'s registry. *)
+let checker config kernel =
+  let registry = Kernel.metrics kernel in
+  let arm layer create = if List.mem layer config.layers then Some (create ()) else None in
+  Asc_core.Checker.monitor ~kernel ~key
+    ?vcache:(arm Vcache (fun () -> Asc_core.Vcache.create ~registry ()))
+    ?precomp:(arm Precomp (fun () -> Asc_core.Precomp.create ~key ~registry ()))
+    ?cfpre:(arm Cfpre (fun () -> Asc_core.Cfpre.create ~registry ()))
+    ()
+
+let slow_path = List.hd configs
+let config_named name = List.find (fun c -> c.cfg_name = name) configs
+
+(* Run one trial under [config] (unauthenticated without one); returns the
+   measured cycle delta together with the kernel, whose per-kernel metrics
+   registry carries the checker's per-verification-step cycle counters for
+   the run and the fast paths' counters, and the host-side allocation
+   gauge: minor-heap words allocated per loop iteration strictly around
+   [Kernel.run]. *)
+let measure_run ?config ~control_flow case =
   let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in
   let img =
-    if not authenticated then img
-    else
+    match config with
+    | None -> img
+    | Some _ ->
       let options = { Asc_core.Installer.default_options with control_flow } in
-      match Asc_core.Installer.install ~key ~personality ~options ~program:case.c_name img with
-      | Ok inst -> inst.Asc_core.Installer.image
-      | Error e -> failwith (case.c_name ^ ": " ^ e)
+      (match Asc_core.Installer.install ~key ~personality ~options ~program:case.c_name img with
+       | Ok inst -> inst.Asc_core.Installer.image
+       | Error e -> failwith (case.c_name ^ ": " ^ e))
   in
   let kernel = Kernel.create ~personality () in
   case.c_setup kernel;
-  if authenticated then begin
-    let vcache =
-      if use_vcache then
-        Some
-          (Asc_core.Vcache.create ~capacity:!Export.vcache_capacity
-             ~registry:(Kernel.metrics kernel) ())
-      else None
-    in
-    let precomp =
-      if use_precomp then
-        Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-      else None
-    in
-    let cfpre =
-      if use_cfpre then Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-      else None
-    in
-    Kernel.set_monitor kernel
-      (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ?precomp ?cfpre ()))
-  end;
+  Option.iter (fun cfg -> Kernel.set_monitor kernel (Some (checker cfg kernel))) config;
   let proc = Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img in
   let mw0 = Gc.minor_words () in
   match Kernel.run kernel proc ~max_cycles:4_000_000_000 with
@@ -109,10 +120,8 @@ let measure_run ~authenticated ?(use_vcache = false) ?(use_precomp = false)
   | Svm.Machine.Killed r -> failwith (case.c_name ^ " killed: " ^ r)
   | _ -> failwith (case.c_name ^ " did not complete")
 
-let measure_once ~authenticated ?use_vcache ?use_precomp ?use_cfpre ~control_flow case =
-  let cycles, _, _ =
-    measure_run ~authenticated ?use_vcache ?use_precomp ?use_cfpre ~control_flow case
-  in
+let measure_once ?config ~control_flow case =
+  let cycles, _, _ = measure_run ?config ~control_flow case in
   cycles
 
 (* Table 4's decomposition: per-call cycles attributed to each verification
@@ -126,17 +135,14 @@ type verification = {
   v_total : int;
 }
 
-let verification_of ?(use_vcache = false) ?(use_precomp = false) ?(use_cfpre = false)
-    ~control_flow case =
-  let _, kernel, _ =
-    measure_run ~authenticated:true ~use_vcache ~use_precomp ~use_cfpre ~control_flow case
-  in
+let verification_of ~config ~control_flow case =
+  let _, kernel, alloc = measure_run ~config ~control_flow case in
   let raw name = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) name) in
   let v name =
     let r = raw name in
     (* with a fast path on, the first iteration pays the CMAC cost and later
        ones the hit cost, so per-step charges are no longer uniform *)
-    if (not (use_vcache || use_precomp || use_cfpre)) && r mod iterations <> 0 then
+    if config.layers = [] && r mod iterations <> 0 then
       failwith (Printf.sprintf "%s: %s not uniform across iterations" case.c_name name);
     r / iterations
   in
@@ -154,7 +160,7 @@ let verification_of ?(use_vcache = false) ?(use_precomp = false) ?(use_cfpre = f
       v_ext = v "checker.cycles.ext";
       v_total = v "checker.cycles.total" }
   in
-  (r, raw)
+  (r, raw, alloc, Asc_core.Checker.fast_path_counters (Kernel.metrics kernel))
 
 (* 12 trials, drop highest and lowest, average the remaining 10. The cycle
    model is deterministic, so the trials agree — the structure is kept to
@@ -168,7 +174,7 @@ let trial_average f =
 let empty_case = { c_name = "empty"; c_body = ""; c_stdin = ""; c_setup = ignore }
 
 let empty_loop_cost =
-  lazy (trial_average (fun () -> measure_once ~authenticated:false ~control_flow:true empty_case) / iterations)
+  lazy (trial_average (fun () -> measure_once ~control_flow:true empty_case) / iterations)
 
 (* The alloc analogue of [empty_loop_cost]: minor words per iteration the
    bench harness itself allocates (interpreter loop, run bookkeeping) on an
@@ -177,280 +183,151 @@ let empty_loop_cost =
 let alloc_harness_words =
   lazy
     (trial_average (fun () ->
-         let _, _, alloc = measure_run ~authenticated:false ~control_flow:true empty_case in
+         let _, _, alloc = measure_run ~control_flow:true empty_case in
          alloc))
 
-let per_call ?(control_flow = true) ?use_vcache ?use_precomp ?use_cfpre ~authenticated case =
-  let total =
-    trial_average (fun () ->
-        measure_once ~authenticated ?use_vcache ?use_precomp ?use_cfpre ~control_flow case)
-  in
+let per_call ?(control_flow = true) ?config case =
+  let total = trial_average (fun () -> measure_once ?config ~control_flow case) in
   (total / iterations) - Lazy.force empty_loop_cost
 
-(* One Table 4 row with the verified-MAC cache on: per-call cycles, the
-   per-step decomposition, and the cache's own hit/miss counters. Gated
-   here rather than in a test so every benchmark run re-proves the cache's
-   two headline properties: it actually hits on a repeated call site, and
-   hitting is strictly cheaper than recomputing the CMAC. *)
-let vcache_row ~auth case =
-  let auth_vc = per_call ~authenticated:true ~use_vcache:true case in
-  let v_vc, raw = verification_of ~use_vcache:true ~control_flow:true case in
-  let hits = raw "vcache.hits" and misses = raw "vcache.misses" in
-  if hits = 0 then failwith (case.c_name ^ ": verified-MAC cache never hit");
-  if auth_vc >= auth then
-    failwith
-      (Printf.sprintf "%s: vcache did not reduce cycles/call (%d >= %d)" case.c_name auth_vc
-         auth);
-  (auth_vc, v_vc, hits, misses)
-
-(* One Table 4 row with both fast paths armed — the precompiled-site table
-   in front of the vcache. Two gates, re-proved on every benchmark run:
-   the table actually hits on a repeated call site, and its per-call cost
-   is *strictly* below the vcache-only column — on these static-argument
-   loops the memo hit skips even the encoded-call serialization the vcache
-   key needs. *)
-type precomp_stats = {
-  p_hits : int;
-  p_misses : int;
-  p_resumes : int;
-  p_fallbacks : int;
-  p_compiles : int;
+(* One configuration of one Table 4 row. *)
+type measured = {
+  m_auth : int;                          (* cycles per call *)
+  m_verif : verification;
+  m_alloc : int;                         (* minor words per call *)
+  m_alloc_steps : (string * int) list;   (* sums to [m_alloc] *)
+  m_counters : (string * (string * int) list) list;  (* per armed layer *)
 }
 
-(* Counters of the control-flow bitset table when it rides along (the
-   [use_cfpre] configuration below). *)
-type cfpre_stats = {
-  cf_hits : int;
-  cf_misses : int;
-  cf_fallbacks : int;
-  cf_compiles : int;
-  cf_saved : int;
-}
-
-let precomp_row ~auth_vc ~v_vc ~use_cfpre case =
-  let auth_pre =
-    per_call ~authenticated:true ~use_vcache:true ~use_precomp:true ~use_cfpre case
+(* Measure one configuration of one row: per-call cycles, the per-step
+   decomposition, the per-step host allocation and each armed layer's
+   counters. Gated here rather than in a test so every benchmark run
+   re-proves the allocation decomposition and that the layer the
+   configuration adds actually hits on a repeated call site. *)
+let measure_config case cfg =
+  let m_auth = per_call ~config:cfg case in
+  let m_verif, raw, alloc_raw, counters = verification_of ~config:cfg ~control_flow:true case in
+  (match List.rev cfg.layers with
+   | layer :: _ when raw (Asc_core.Checker.layer_name layer ^ ".hits") = 0 ->
+     failwith
+       (Printf.sprintf "%s: %s never hit" case.c_name (Asc_core.Checker.layer_name layer))
+   | _ -> ());
+  let m_alloc = alloc_raw - Lazy.force alloc_harness_words in
+  (* the checker's alloc attribution invariant, exact on raw counters *)
+  if
+    raw "checker.alloc.call_mac" + raw "checker.alloc.string_mac"
+    + raw "checker.alloc.control_flow" + raw "checker.alloc.ext"
+    <> raw "checker.alloc.total"
+  then failwith (case.c_name ^ ": alloc steps do not sum to checker.alloc.total");
+  let steps =
+    List.map
+      (fun s -> (s, raw ("checker.alloc." ^ s) / iterations))
+      [ "call_mac"; "string_mac"; "control_flow"; "ext"; "telemetry" ]
   in
-  let v_pre, raw =
-    verification_of ~use_vcache:true ~use_precomp:true ~use_cfpre ~control_flow:true case
-  in
-  let stats =
-    { p_hits = raw "precomp.hits";
-      p_misses = raw "precomp.misses";
-      p_resumes = raw "precomp.resumes";
-      p_fallbacks = raw "precomp.fallbacks";
-      p_compiles = raw "precomp.compiles" }
-  in
-  if stats.p_hits = 0 then failwith (case.c_name ^ ": precompiled-site table never hit");
-  if auth_pre >= auth_vc then
+  let known = List.fold_left (fun acc (_, w) -> acc + w) 0 steps in
+  (* [other] closes the decomposition by construction: dispatch,
+     interpreter and unattributed checker words. It must not be negative —
+     that would mean the harness baseline over-subtracts or a step counter
+     double-counts. *)
+  if known > m_alloc then
     failwith
-      (Printf.sprintf "%s: precomp not strictly below the vcache path (%d >= %d)"
-         case.c_name auth_pre auth_vc);
-  let cf =
-    if not use_cfpre then None
-    else begin
-      let st =
-        { cf_hits = raw "cfpre.hits";
-          cf_misses = raw "cfpre.misses";
-          cf_fallbacks = raw "cfpre.fallbacks";
-          cf_compiles = raw "cfpre.compiles";
-          cf_saved = raw "cfpre.cycles_saved" }
-      in
-      (* the headline gates of the bitset + lbMAC-chain fast path: it hits
-         on a repeated site, and it cuts the per-call control-flow step by
-         more than 2x vs the vcache configuration *)
-      if st.cf_hits = 0 then failwith (case.c_name ^ ": control-flow bitset table never hit");
-      if 2 * v_pre.v_control_flow > v_vc.v_control_flow then
-        failwith
-          (Printf.sprintf "%s: cfpre control_flow not cut >2x (%d vs %d per call)"
-             case.c_name v_pre.v_control_flow v_vc.v_control_flow);
-      Some st
-    end
-  in
-  (auth_pre, v_pre, stats, cf)
+      (Printf.sprintf "%s/%s: attributed alloc (%d words) exceeds per-call gauge (%d)"
+         case.c_name cfg.cfg_name known m_alloc);
+  { m_auth;
+    m_verif;
+    m_alloc;
+    m_alloc_steps = steps @ [ ("other", m_alloc - known) ];
+    m_counters = counters }
 
 let table4 () =
-  let vc = !Export.use_vcache in
-  let pre = vc && !Export.use_precomp in
-  let cf = pre && !Export.use_cfpre in
-  Format.printf "@.Table 4: Effect of authentication (cycles per call)%s@."
-    (if not vc then " [vcache off]"
-     else if not pre then " [precomp off]"
-     else if not cf then " [cfpre off]"
-     else "");
-  if pre then
-    Format.printf "%-16s %10s %14s %10s %12s %9s %10s@." "System Call" "Original"
-      "Authenticated" "Overhead" "Auth+cache" "Hit rate"
-      (if cf then "Auth+cf" else "Auth+pre")
-  else if vc then
-    Format.printf "%-16s %10s %14s %10s %12s %9s@." "System Call" "Original" "Authenticated"
-      "Overhead" "Auth+cache" "Hit rate"
-  else Format.printf "%-16s %10s %14s %10s@." "System Call" "Original" "Authenticated" "Overhead";
+  Format.printf "@.Table 4: Effect of authentication (cycles per call)@.";
+  Format.printf "%-16s %10s%s %10s@." "System Call" "Original"
+    (String.concat "" (List.map (fun c -> Printf.sprintf " %14s" c.cfg_title) configs))
+    "Overhead";
   let rows =
     List.map
       (fun case ->
-        let orig = per_call ~authenticated:false case in
-        let auth = per_call ~authenticated:true case in
-        let overhead = 100. *. float_of_int (auth - orig) /. float_of_int orig in
-        let v, _ = verification_of ~control_flow:true case in
-        let cache = if vc then Some (vcache_row ~auth case) else None in
-        let precomp =
-          match cache with
-          | Some (auth_vc, v_vc, _, _) when pre ->
-            Some (precomp_row ~auth_vc ~v_vc ~use_cfpre:cf case)
-          | _ -> None
-        in
-        (* the allocation gauge is read at this configuration's fastest
-           settings — the deployment the row is reporting on *)
-        let _, akernel, alloc_raw =
-          measure_run ~authenticated:true ~use_vcache:vc ~use_precomp:pre ~use_cfpre:cf
-            ~control_flow:true case
-        in
-        let alloc = alloc_raw - Lazy.force alloc_harness_words in
-        let araw name =
-          Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics akernel) name)
-        in
-        (* the checker's alloc attribution invariant, exact on raw counters *)
-        if
-          araw "checker.alloc.call_mac" + araw "checker.alloc.string_mac"
-          + araw "checker.alloc.control_flow" + araw "checker.alloc.ext"
-          <> araw "checker.alloc.total"
-        then failwith (case.c_name ^ ": alloc steps do not sum to checker.alloc.total");
-        let aper name = araw name / iterations in
-        let a_call_mac = aper "checker.alloc.call_mac" in
-        let a_string_mac = aper "checker.alloc.string_mac" in
-        let a_control_flow = aper "checker.alloc.control_flow" in
-        let a_ext = aper "checker.alloc.ext" in
-        let a_telemetry = aper "checker.alloc.telemetry" in
-        let known = a_call_mac + a_string_mac + a_control_flow + a_ext + a_telemetry in
-        (* [other] closes the decomposition by construction: dispatch,
-           interpreter and unattributed checker words. It must not be
-           negative — that would mean the harness baseline over-subtracts
-           or a step counter double-counts. *)
-        if known > alloc then
+        let orig = per_call case in
+        let measured = List.map (fun cfg -> (cfg, measure_config case cfg)) configs in
+        let of_config name = List.assq (config_named name) measured in
+        (* each layer must win on its own: every configuration strictly
+           below the one it stacks on *)
+        ignore
+          (List.fold_left
+             (fun prev (cfg, m) ->
+               (match prev with
+                | Some (pname, pauth) when m.m_auth >= pauth ->
+                  failwith
+                    (Printf.sprintf "%s: %s not strictly below %s (%d >= %d)" case.c_name
+                       cfg.cfg_name pname m.m_auth pauth)
+                | _ -> ());
+               Some (cfg.cfg_name, m.m_auth))
+             None measured);
+        (* the bitset + lbMAC-chain fast path cuts the per-call control-flow
+           step by more than 2x vs the vcache configuration, and its per-pid
+           scratch buffers hold the step's host allocation to the probe *)
+        let vc = of_config "vcache" and full = of_config "full" in
+        if 2 * full.m_verif.v_control_flow > vc.m_verif.v_control_flow then
           failwith
-            (Printf.sprintf "%s: attributed alloc (%d words) exceeds per-call gauge (%d)"
-               case.c_name known alloc);
-        (* the per-pid scratch buffers must take the step's host allocation
-           to (near) zero — the fast path's entire budget is the probe *)
-        if cf && a_control_flow > 16 then
+            (Printf.sprintf "%s: cfpre control_flow not cut >2x (%d vs %d per call)" case.c_name
+               full.m_verif.v_control_flow vc.m_verif.v_control_flow);
+        let cf_words = List.assoc "control_flow" full.m_alloc_steps in
+        if cf_words > 16 then
           failwith
             (Printf.sprintf "%s: cfpre control_flow allocates %d words/call (budget 16)"
-               case.c_name a_control_flow);
-        let a_other = alloc - known in
-        let alloc_decomp =
-          (a_call_mac, a_string_mac, a_control_flow, a_ext, a_telemetry, a_other)
-        in
-        (match (cache, precomp) with
-         | Some (auth_vc, _, hits, misses), Some (auth_pre, _, _, _) ->
-           Format.printf "%-16s %10d %14d %9.1f%% %12d %8.1f%% %10d@." case.c_name orig auth
-             overhead auth_vc
-             (100. *. float_of_int hits /. float_of_int (hits + misses))
-             auth_pre
-         | Some (auth_vc, _, hits, misses), None ->
-           Format.printf "%-16s %10d %14d %9.1f%% %12d %8.1f%%@." case.c_name orig auth
-             overhead auth_vc
-             (100. *. float_of_int hits /. float_of_int (hits + misses))
-         | None, _ -> Format.printf "%-16s %10d %14d %9.1f%%@." case.c_name orig auth overhead);
-        (case, orig, auth, overhead, v, cache, precomp, alloc, alloc_decomp))
+               case.c_name cf_words);
+        Format.printf "%-16s %10d%s %9.1f%%@." case.c_name orig
+          (String.concat "" (List.map (fun (_, m) -> Printf.sprintf " %14d" m.m_auth) measured))
+          (100. *. float_of_int (full.m_auth - orig) /. float_of_int orig);
+        (case, orig, measured))
       cases
   in
   Format.printf "%-16s %10d@." "rdtsc cost" Svm.Cost_model.rdcyc_cost;
   Format.printf "%-16s %10d@." "loop cost" (Lazy.force empty_loop_cost);
   Format.printf "%-16s %10d words/iter@." "alloc harness" (Lazy.force alloc_harness_words);
   let open Asc_obs.Json in
-  let verification_json v =
+  let ints fields = Obj (List.map (fun (k, n) -> (k, Int n)) fields) in
+  (* every lookup is exactly one of a layer's hits, misses or fallbacks *)
+  let layer_json (layer, fields) =
+    let n f = Option.value ~default:0 (List.assoc_opt f fields) in
+    let lookups = n "hits" + n "misses" + n "fallbacks" in
+    let rate = if lookups = 0 then 0. else 100. *. float_of_int (n "hits") /. float_of_int lookups in
+    (layer, Obj (List.map (fun (k, v) -> (k, Int v)) fields @ [ ("hit_rate_pct", Float rate) ]))
+  in
+  let config_json orig (cfg, m) =
     Obj
-      [ ("call_mac", Int v.v_call_mac);
-        ("string_mac", Int v.v_string_mac);
-        ("control_flow", Int v.v_control_flow);
-        ("ext", Int v.v_ext);
-        ("total", Int v.v_total) ]
+      ([ ("config", Str cfg.cfg_name);
+         ("authenticated", Int m.m_auth);
+         ("overhead_pct", Float (100. *. float_of_int (m.m_auth - orig) /. float_of_int orig));
+         ( "verification",
+           ints
+             [ ("call_mac", m.m_verif.v_call_mac);
+               ("string_mac", m.m_verif.v_string_mac);
+               ("control_flow", m.m_verif.v_control_flow);
+               ("ext", m.m_verif.v_ext);
+               ("total", m.m_verif.v_total) ] );
+         ("alloc_minor_words_per_call", Int m.m_alloc);
+         (* per-step minor words; fields sum exactly to
+            alloc_minor_words_per_call ([other] is the remainder, gated
+            non-negative above) *)
+         ("alloc", ints m.m_alloc_steps) ]
+      @ List.map layer_json m.m_counters)
   in
-  let name =
-    if not vc then "table4_novcache"
-    else if not pre then "table4_noprecomp"
-    else if not cf then "table4_nocfpre"
-    else "table4"
-  in
-  Export.write ~name
+  Export.write ~name:"table4"
     (Obj
        [ ("table", Str "table4");
          ("iterations", Int iterations);
-         ("vcache", Bool vc);
-         ("vcache_capacity", Int (if vc then !Export.vcache_capacity else 0));
-         ("precomp", Bool pre);
-         ("cfpre", Bool cf);
          ("rdtsc_cost", Int Svm.Cost_model.rdcyc_cost);
          ("loop_cost", Int (Lazy.force empty_loop_cost));
          ("alloc_harness_words", Int (Lazy.force alloc_harness_words));
          ( "rows",
            List
              (List.map
-                (fun (case, orig, auth, overhead, v, cache, precomp, alloc,
-                      (a_call_mac, a_string_mac, a_control_flow, a_ext, a_telemetry, a_other)) ->
+                (fun (case, orig, measured) ->
                   Obj
-                    ([ ("name", Str case.c_name);
-                       ("original", Int orig);
-                       ("authenticated", Int auth);
-                       ("overhead_pct", Float overhead);
-                       ("verification", verification_json v);
-                       ("alloc_minor_words_per_call", Int alloc);
-                       (* per-step minor words; fields sum exactly to
-                          alloc_minor_words_per_call ([other] is the
-                          remainder, gated non-negative above) *)
-                       ( "alloc",
-                         Obj
-                           [ ("call_mac", Int a_call_mac);
-                             ("string_mac", Int a_string_mac);
-                             ("control_flow", Int a_control_flow);
-                             ("ext", Int a_ext);
-                             ("telemetry", Int a_telemetry);
-                             ("other", Int a_other) ] ) ]
-                     @ (match cache with
-                        | None -> []
-                        | Some (auth_vc, v_vc, hits, misses) ->
-                          [ ("authenticated_vcache", Int auth_vc);
-                            ( "overhead_vcache_pct",
-                              Float
-                                (100. *. float_of_int (auth_vc - orig) /. float_of_int orig)
-                            );
-                            ("verification_vcache", verification_json v_vc);
-                            ( "vcache",
-                              Obj
-                                [ ("hits", Int hits);
-                                  ("misses", Int misses);
-                                  ( "hit_rate_pct",
-                                    Float
-                                      (100. *. float_of_int hits
-                                       /. float_of_int (hits + misses)) ) ] ) ])
-                     @
-                     match precomp with
-                     | None -> []
-                     | Some (auth_pre, v_pre, st, cfst) ->
-                       [ ("authenticated_precomp", Int auth_pre);
-                         ( "overhead_precomp_pct",
-                           Float (100. *. float_of_int (auth_pre - orig) /. float_of_int orig)
-                         );
-                         ("verification_precomp", verification_json v_pre);
-                         ( "precomp",
-                           Obj
-                             [ ("hits", Int st.p_hits);
-                               ("misses", Int st.p_misses);
-                               ("resumes", Int st.p_resumes);
-                               ("fallbacks", Int st.p_fallbacks);
-                               ("compiles", Int st.p_compiles) ] ) ]
-                       @
-                       match cfst with
-                       | None -> []
-                       | Some cfst ->
-                         [ ( "cfpre",
-                             Obj
-                               [ ("hits", Int cfst.cf_hits);
-                                 ("misses", Int cfst.cf_misses);
-                                 ("fallbacks", Int cfst.cf_fallbacks);
-                                 ("compiles", Int cfst.cf_compiles);
-                                 ("cycles_saved", Int cfst.cf_saved) ] ) ]))
+                    [ ("name", Str case.c_name);
+                      ("original", Int orig);
+                      ("configs", List (List.map (config_json orig) measured)) ])
                 rows) ) ])
 
 (* --- gate attribution -------------------------------------------------- *)
@@ -459,7 +336,7 @@ let table4 () =
    site whose subtree carries the named checker step — the "+412 cycles
    in <kernel:control_flow> at getpid@site_0x18" half of a gate failure
    message. Returns the heaviest (site frame, step cycles) pair. *)
-let profile_step_site ~use_vcache ~use_precomp ~use_cfpre ~step case =
+let profile_step_site ~config ~step case =
   let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in
   let img =
     match Asc_core.Installer.install ~key ~personality ~program:case.c_name img with
@@ -468,24 +345,7 @@ let profile_step_site ~use_vcache ~use_precomp ~use_cfpre ~step case =
   in
   let kernel = Kernel.create ~personality () in
   case.c_setup kernel;
-  let vcache =
-    if use_vcache then
-      Some
-        (Asc_core.Vcache.create ~capacity:!Export.vcache_capacity
-           ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  let precomp =
-    if use_precomp then
-      Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  let cfpre =
-    if use_cfpre then Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  Kernel.set_monitor kernel
-    (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ?precomp ?cfpre ()));
+  Kernel.set_monitor kernel (Some (checker config kernel));
   let proc = Kernel.spawn kernel ~stdin:case.c_stdin ~program:case.c_name img in
   let prof = Asc_obs.Profile.create () in
   Svm.Machine.attach_profile proc.Process.machine prof;
@@ -517,65 +377,57 @@ let profile_step_site ~use_vcache ~use_precomp ~use_cfpre ~step case =
       match best with Some (_, bw) when bw >= w -> best | _ -> Some (site, w))
     sites None
 
-(* Export's attribution hook for the table4 family: find the per-call
-   verification step that moved the most between baseline and actual,
-   then re-run that row's case under the profiler to name the offending
-   site. Printed after the generic numeric-leaf blame table, as part of
-   the gate failure output. *)
+(* Export's attribution hook for table4: find the per-call verification
+   step that moved the most between baseline and actual, in any row and
+   configuration, then re-run that row's case under that configuration's
+   checker with the profiler to name the offending site. Printed after the
+   generic numeric-leaf blame table, as part of the gate failure output. *)
 let attribute_gate ~file ~baseline ~actual =
-  let is_table4 = String.length file >= 12 && String.sub file 0 12 = "BENCH_table4" in
-  if is_table4 then begin
+  if file = "BENCH_table4.json" then begin
     let open Asc_obs.Json in
-    let rows doc = match member "rows" doc with Some (List rs) -> rs | _ -> [] in
-    let arows = rows actual in
-    (* the fastest configuration measured by this file: table4_nocfpre pins
-       the vcache+precomp stack, every other table4 variant with precomp on
-       also arms the control-flow bitsets *)
-    let cf_on = file <> "BENCH_table4_nocfpre.json" in
-    let verif_keys =
-      [ ("verification", (false, false, false));
-        ("verification_vcache", (true, false, false));
-        ("verification_precomp", (true, true, cf_on)) ]
-    in
+    let list key doc = match member key doc with Some (List xs) -> xs | _ -> [] in
+    let str key doc = Option.bind (member key doc) to_str in
     let step_names = [ "call_mac"; "string_mac"; "control_flow"; "ext" ] in
     let best = ref None in
-    List.iteri
-      (fun i brow ->
-        match List.nth_opt arows i with
-        | None -> ()
-        | Some arow ->
-          let name =
-            match Option.bind (member "name" arow) to_str with
-            | Some n -> n
-            | None -> Printf.sprintf "row %d" i
-          in
-          List.iter
-            (fun (vkey, cfg) ->
-              match (member vkey brow, member vkey arow) with
-              | Some bv, Some av ->
-                List.iter
-                  (fun s ->
-                    match
-                      (Option.bind (member s bv) to_int, Option.bind (member s av) to_int)
-                    with
-                    | Some b, Some a when a <> b ->
-                      (match !best with
-                       | Some (bd, _, _, _, _, _, _) when bd >= abs (a - b) -> ()
-                       | _ -> best := Some (abs (a - b), a - b, name, s, cfg, b, a))
-                    | _ -> ())
-                  step_names
-              | _ -> ())
-            verif_keys)
-      (rows baseline);
+    (* pair rows by name and configurations by config: a gate that failed
+       because one was added or dropped still gets the rest attributed *)
+    let paired key xs ys =
+      List.filter_map
+        (fun y ->
+          Option.bind (str key y) (fun k ->
+              Option.map (fun x -> (x, y)) (List.find_opt (fun x -> str key x = Some k) xs)))
+        ys
+    in
+    List.iter
+      (fun (brow, arow) ->
+        let name = Option.value (str "name" arow) ~default:"?" in
+        List.iter
+          (fun (bcfg, acfg) ->
+            match (member "verification" bcfg, member "verification" acfg, str "config" acfg) with
+            | Some bv, Some av, Some cfg ->
+              List.iter
+                (fun s ->
+                  match (Option.bind (member s bv) to_int, Option.bind (member s av) to_int) with
+                  | Some b, Some a when a <> b ->
+                    (match !best with
+                     | Some (bd, _, _, _, _, _, _) when bd >= abs (a - b) -> ()
+                     | _ -> best := Some (abs (a - b), a - b, name, s, cfg, b, a))
+                  | _ -> ())
+                step_names
+            | _ -> ())
+          (paired "config" (list "configs" brow) (list "configs" arow)))
+      (paired "name" (list "rows" baseline) (list "rows" actual));
     match !best with
     | None -> ()
-    | Some (_, d, name, step, (use_vcache, use_precomp, use_cfpre), b, a) ->
-      let case = List.find_opt (fun c -> c.c_name = name) cases in
+    | Some (_, d, name, step, cfg, b, a) ->
       let site =
-        match case with
-        | Some case ->
-          (try profile_step_site ~use_vcache ~use_precomp ~use_cfpre ~step case with _ -> None)
-        | None -> None
+        match
+          (List.find_opt (fun c -> c.c_name = name) cases,
+           List.find_opt (fun c -> c.cfg_name = cfg) configs)
+        with
+        | Some case, Some config ->
+          (try profile_step_site ~config ~step case with _ -> None)
+        | _ -> None
       in
       let where = match site with Some (s, _) -> " at " ^ s | None -> "" in
       Format.printf "  [attribution] %s: %+d cycles/call in <kernel:%s>%s (%d -> %d)@." name d
@@ -588,8 +440,8 @@ let ablation_control_flow () =
   Format.printf "%-16s %14s %16s %12s@." "System Call" "ASC (full)" "ASC (no cf)" "cf share";
   List.iter
     (fun case ->
-      let full = per_call ~authenticated:true ~control_flow:true case in
-      let nocf = per_call ~authenticated:true ~control_flow:false case in
+      let full = per_call ~config:slow_path ~control_flow:true case in
+      let nocf = per_call ~config:slow_path ~control_flow:false case in
       Format.printf "%-16s %14d %16d %11.1f%%@." case.c_name full nocf
         (100. *. float_of_int (full - nocf) /. float_of_int full))
     cases
@@ -607,27 +459,17 @@ let control_flow_step () =
   Format.printf "@.Microbench: the control-flow step in isolation (getpid, per call)@.";
   Format.printf "%-38s %10s %10s@." "configuration" "cycles" "words";
   let case = List.hd cases in
-  let row name ~use_vcache ~use_precomp ~use_cfpre =
-    let _, kernel, _ =
-      measure_run ~authenticated:true ~use_vcache ~use_precomp ~use_cfpre ~control_flow:true
-        case
-    in
+  let row name config =
+    let _, kernel, _ = measure_run ~config:(config_named config) ~control_flow:true case in
     let raw n = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) n) in
     let cyc = raw "checker.cycles.control_flow" / iterations in
     let words = raw "checker.alloc.control_flow" / iterations in
     Format.printf "%-38s %10d %10d@." name cyc words;
     (cyc, words)
   in
-  let slow, _ =
-    row "string-MAC slow path" ~use_vcache:false ~use_precomp:false ~use_cfpre:false
-  in
-  let vc, _ =
-    row "vcache memo + full lbMAC recompute" ~use_vcache:true ~use_precomp:false
-      ~use_cfpre:false
-  in
-  let fast, fast_words =
-    row "bitset hit + lbMAC chain resume" ~use_vcache:true ~use_precomp:true ~use_cfpre:true
-  in
+  let slow, _ = row "string-MAC slow path" "auth" in
+  let vc, _ = row "vcache memo + full lbMAC recompute" "vcache" in
+  let fast, fast_words = row "bitset hit + single-block lbMAC chain" "full" in
   if not (fast < vc && vc < slow) then
     failwith
       (Printf.sprintf
@@ -642,8 +484,8 @@ let control_flow_step () =
 let ablation_userspace () =
   Format.printf "@.Ablation: enforcement placement (getpid microbenchmark)@.";
   let case = List.hd cases in
-  let orig = per_call ~authenticated:false case in
-  let asc = per_call ~authenticated:true case in
+  let orig = per_call case in
+  let asc = per_call ~config:slow_path case in
   (* user-space daemon: trained policy allowing everything, Systrace-style *)
   let daemon_cost () =
     let img = Svm.Asm.assemble_exn (loop_program ~body:case.c_body) in

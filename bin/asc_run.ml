@@ -8,7 +8,7 @@ open Oskernel
    fast-path cache counters, the host GC's work during the run (deltas of
    Gc.quick_stat around Kernel.run) and the kernel telemetry plane's
    aggregate (reason mix, per-syscall quantiles, per-site rollups). *)
-let stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1 =
+let stats_json kernel proc ~enforce ~gc0 ~gc1 ~minor0 ~minor1 =
   let module Json = Asc_obs.Json in
   let gc_fields =
     let dw f = Json.Int (int_of_float (f gc1 -. f gc0)) in
@@ -25,40 +25,12 @@ let stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1 =
   in
   let tel = Kernel.telemetry kernel in
   let cache_fields =
-    (match vcache with
-     | None -> []
-     | Some vc ->
-       [ ( "vcache",
-           Json.Obj
-             [ ("hits", Json.Int (Asc_core.Vcache.hits vc));
-               ("misses", Json.Int (Asc_core.Vcache.misses vc));
-               ("evictions", Json.Int (Asc_core.Vcache.evictions vc));
-               ("invalidations", Json.Int (Asc_core.Vcache.invalidations vc));
-               ("cycles_saved", Json.Int (Asc_core.Vcache.cycles_saved vc)) ] ) ])
-    @
-    (match precomp with
-     | None -> []
-     | Some pc ->
-       [ ( "precomp",
-           Json.Obj
-             [ ("hits", Json.Int (Asc_core.Precomp.hits pc));
-               ("resumes", Json.Int (Asc_core.Precomp.resumes pc));
-               ("fallbacks", Json.Int (Asc_core.Precomp.fallbacks pc));
-               ("compiles", Json.Int (Asc_core.Precomp.compiles pc));
-               ("invalidations", Json.Int (Asc_core.Precomp.invalidations pc));
-               ("cycles_saved", Json.Int (Asc_core.Precomp.cycles_saved pc)) ] ) ])
-    @
-    (match cfpre with
-     | None -> []
-     | Some cf ->
-       [ ( "cfpre",
-           Json.Obj
-             [ ("hits", Json.Int (Asc_core.Cfpre.hits cf));
-               ("misses", Json.Int (Asc_core.Cfpre.misses cf));
-               ("fallbacks", Json.Int (Asc_core.Cfpre.fallbacks cf));
-               ("compiles", Json.Int (Asc_core.Cfpre.compiles cf));
-               ("invalidations", Json.Int (Asc_core.Cfpre.invalidations cf));
-               ("cycles_saved", Json.Int (Asc_core.Cfpre.cycles_saved cf)) ] ) ])
+    if not enforce then []
+    else
+      List.map
+        (fun (layer, fields) ->
+          (layer, Json.Obj (List.map (fun (f, n) -> (f, Json.Int n)) fields)))
+        (Common.fast_path_stats kernel)
   in
   Json.Obj
     ([ ("tool", Json.Str "asc-run");
@@ -69,7 +41,7 @@ let stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1 =
      @ [ ("telemetry", Asc_obs.Telemetry.stats_to_json tel (Asc_obs.Telemetry.aggregate tel)) ])
 
 let run input key_hex os enforce stdin_text normalize files libs audit_out stats_out
-    verbose_stats no_vcache vcache_size no_precomp no_cfpre =
+    verbose_stats =
   let ( let* ) = Result.bind in
   let result =
     let* personality = Common.personality_of_string os in
@@ -91,33 +63,15 @@ let run input key_hex os enforce stdin_text normalize files libs audit_out stats
              | Error e -> Error (Oskernel.Errno.name e)))
         (Ok ()) files
     in
-    let* vcache, precomp, cfpre =
-      if not enforce then Ok (None, None, None)
+    (* --enforce: run under the deployment checker, installing compiled
+       inputs first *)
+    let* img =
+      if not enforce then Ok img
       else
         let* key = Common.key_of_hex key_hex in
-        let* vcache =
-          if no_vcache then Ok None
-          else if vcache_size < 1 then
-            Error (Printf.sprintf "--vcache-size must be >= 1, got %d" vcache_size)
-          else
-            Ok
-              (Some
-                 (Asc_core.Vcache.create ~capacity:vcache_size
-                    ~registry:(Kernel.metrics kernel) ()))
-        in
-        let precomp =
-          if no_precomp then None
-          else Some (Asc_core.Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-        in
-        let cfpre =
-          if no_cfpre then None
-          else Some (Asc_core.Cfpre.create ~registry:(Kernel.metrics kernel) ())
-        in
         Kernel.set_monitor kernel
-          (Some
-             (Asc_core.Checker.monitor ~kernel ~key ~normalize_paths:normalize ?vcache
-                ?precomp ?cfpre ()));
-        Ok (vcache, precomp, cfpre)
+          (Some (Asc_core.Checker.deployment ~kernel ~key ~normalize_paths:normalize ()));
+        Common.install_if_compiled ~key ~personality ~input ~workload:w img
     in
     (* --audit-out: record every audit entry in a tamper-evident CMAC chain
        (keyed like the checker) and export it as JSONL after the run *)
@@ -162,39 +116,12 @@ let run input key_hex os enforce stdin_text normalize files libs audit_out stats
     let err = Kernel.stderr_of proc in
     if err <> "" then Format.eprintf "%s" err;
     Format.eprintf "[%d cycles]@." proc.Process.machine.Svm.Machine.cycles;
-    if verbose_stats then begin
-      (match vcache with
-       | Some vc ->
-         Format.eprintf
-           "[vcache: %d hits, %d misses, %d evictions, %d invalidations, %d cycles saved]@."
-           (Asc_core.Vcache.hits vc) (Asc_core.Vcache.misses vc)
-           (Asc_core.Vcache.evictions vc) (Asc_core.Vcache.invalidations vc)
-           (Asc_core.Vcache.cycles_saved vc)
-       | None -> ());
-      (match precomp with
-       | Some pc ->
-         Format.eprintf
-           "[precomp: %d hits, %d resumes, %d fallbacks, %d compiles, %d invalidations, %d \
-            cycles saved]@."
-           (Asc_core.Precomp.hits pc) (Asc_core.Precomp.resumes pc)
-           (Asc_core.Precomp.fallbacks pc) (Asc_core.Precomp.compiles pc)
-           (Asc_core.Precomp.invalidations pc) (Asc_core.Precomp.cycles_saved pc)
-       | None -> ());
-      (match cfpre with
-       | Some cf ->
-         Format.eprintf
-           "[cfpre: %d hits, %d misses, %d fallbacks, %d compiles, %d invalidations, %d \
-            cycles saved]@."
-           (Asc_core.Cfpre.hits cf) (Asc_core.Cfpre.misses cf)
-           (Asc_core.Cfpre.fallbacks cf) (Asc_core.Cfpre.compiles cf)
-           (Asc_core.Cfpre.invalidations cf) (Asc_core.Cfpre.cycles_saved cf)
-       | None -> ())
-    end;
+    if verbose_stats && enforce then Common.print_fast_path_stats kernel;
     (match stats_out with
      | Some path ->
        Common.write_file path
          (Asc_obs.Json.to_string
-            (stats_json kernel proc ~vcache ~precomp ~cfpre ~gc0 ~gc1 ~minor0 ~minor1)
+            (stats_json kernel proc ~enforce ~gc0 ~gc1 ~minor0 ~minor1)
           ^ "\n")
      | None -> ());
     (match (authlog, audit_out) with
@@ -254,7 +181,8 @@ let os_arg =
 
 let enforce_arg =
   Arg.(value & flag & info [ "e"; "enforce" ]
-         ~doc:"Enable the in-kernel authenticated-system-call checker.")
+         ~doc:"Enable the in-kernel authenticated-system-call checker, fast paths armed \
+               (compiled inputs — MiniC source, workload:NAME — are MAC-installed first).")
 
 let stdin_arg =
   Arg.(value & opt (some string) None & info [ "stdin" ] ~docv:"TEXT"
@@ -281,37 +209,14 @@ let audit_out_arg =
 let stats_out_arg =
   Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE"
          ~doc:"Write a machine-readable JSON stats document after the run: machine \
-               cycles, vcache/precomp counters, host GC deltas (minor/major/promoted \
+               cycles, vcache/precomp/cfpre counters, host GC deltas (minor/major/promoted \
                words, minor collections) and the kernel telemetry aggregate \
                (reason mix, per-syscall latency quantiles, per-site rollups).")
 
 let verbose_stats_arg =
   Arg.(value & flag & info [ "verbose-stats" ]
-         ~doc:"Also print the human-readable vcache/precomp summary lines on stderr \
+         ~doc:"Also print the human-readable vcache/precomp/cfpre summary lines on stderr \
                (prefer $(b,--stats-out) for tooling).")
-
-let no_vcache_arg =
-  Arg.(value & flag & info [ "no-vcache" ]
-         ~doc:"Disable the checker's verified-MAC cache (every call recomputes its CMACs). \
-               Only meaningful with $(b,--enforce).")
-
-let vcache_size_arg =
-  Arg.(value & opt int 1024 & info [ "vcache-size" ] ~docv:"N"
-         ~doc:"Capacity (entries) of the checker's verified-MAC cache; least-recently-used \
-               entries are evicted beyond it.")
-
-let no_precomp_arg =
-  Arg.(value & flag & info [ "no-precomp" ]
-         ~doc:"Disable the checker's precompiled-site table (no exec-time per-site fast \
-               path; every call serializes and verifies through the slow path / vcache). \
-               Only meaningful with $(b,--enforce).")
-
-let no_cfpre_arg =
-  Arg.(value & flag & info [ "no-cfpre" ]
-         ~doc:"Disable the checker's precompiled control-flow bitsets and amortized \
-               lbMAC chain (every call re-verifies the predecessor-set string and \
-               recomputes both policy-state CMACs from scratch). Only meaningful with \
-               $(b,--enforce).")
 
 let cmd =
   let doc = "run a program on the simulated kernel" in
@@ -319,7 +224,6 @@ let cmd =
     (Cmd.info "asc-run" ~doc)
     Term.(
       const run $ input_arg $ key_arg $ os_arg $ enforce_arg $ stdin_arg $ normalize_arg
-      $ file_arg $ lib_arg $ audit_out_arg $ stats_out_arg $ verbose_stats_arg
-      $ no_vcache_arg $ vcache_size_arg $ no_precomp_arg $ no_cfpre_arg)
+      $ file_arg $ lib_arg $ audit_out_arg $ stats_out_arg $ verbose_stats_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -112,26 +112,13 @@ let run input os stdin_text summary format enforce key_hex =
     let kernel = Kernel.create ~personality () in
     (match w with Some w -> w.Workloads.Registry.setup kernel | None -> ());
     (* --enforce: trace under the checker so the summary's deny-reason
-       counts (telemetry reason codes) are live. Inputs compiled here
-       (MiniC source, workload:NAME) are MAC-installed first so their
-       legitimate calls verify; a SEF binary is traced as supplied — if it
-       was never asc-installed, the denies themselves are the data. *)
+       counts (telemetry reason codes) are live *)
     let* img =
       if not enforce then Ok img
       else
         let* key = Common.key_of_hex key_hex in
         Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ()));
-        let compiled =
-          w <> None || Filename.check_suffix input ".mc" || Filename.check_suffix input ".c"
-        in
-        if not compiled then Ok img
-        else begin
-          match
-            Asc_core.Installer.install ~key ~personality ~program:(Filename.basename input) img
-          with
-          | Ok inst -> Ok inst.Asc_core.Installer.image
-          | Error e -> Error e
-        end
+        Common.install_if_compiled ~key ~personality ~input ~workload:w img
     in
     kernel.Kernel.tracing <- true;
     let stdin =

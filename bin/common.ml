@@ -48,3 +48,32 @@ let key_of_hex hex =
   | raw when String.length raw = 16 -> Ok (Asc_crypto.Cmac.of_raw raw)
   | _ -> Error "key must be 32 hex digits (128 bits)"
   | exception Invalid_argument e -> Error e
+
+(* Under enforcement, inputs compiled here (MiniC source, workload:NAME) are
+   MAC-installed first so their legitimate calls verify; a SEF binary runs
+   as supplied — if it was never asc-installed, its denies are the data. *)
+let install_if_compiled ~key ~personality ~input ~workload img =
+  let compiled =
+    workload <> None || Filename.check_suffix input ".mc" || Filename.check_suffix input ".c"
+  in
+  if not compiled then Ok img
+  else
+    match Asc_core.Installer.install ~key ~personality ~program:(Filename.basename input) img with
+    | Ok inst -> Ok inst.Asc_core.Installer.image
+    | Error e -> Error e
+
+(* The deployment checker's fast-path counters, as its layers publish them
+   in the kernel's metrics registry. *)
+let fast_path_stats kernel = Asc_core.Checker.fast_path_counters (Kernel.metrics kernel)
+
+(* One "[precomp: 1 compiles, ..., 12 hits, ...]" line per layer on stderr. *)
+let print_fast_path_stats kernel =
+  List.iter
+    (fun (layer, fields) ->
+      Format.eprintf "[%s: %s]@." layer
+        (String.concat ", "
+           (List.map
+              (fun (f, n) ->
+                Printf.sprintf "%d %s" n (String.map (function '_' -> ' ' | c -> c) f))
+              fields)))
+    (fast_path_stats kernel)

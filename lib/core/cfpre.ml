@@ -148,9 +148,16 @@ let member entry bid =
 
 let contents_length entry = String.length entry.ce_contents
 
+(* [Encoded.state_bytes]'s u64 encoding ([lsr], so a negative int keeps a
+   clear top bit), written in place *)
+let set_u64 b ~pos v =
+  for i = 0 to 7 do
+    Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
 let state_into sc ~counter ~last_block =
-  Encoded.set_u64 sc.ps_state ~pos:0 counter;
-  Encoded.set_u64 sc.ps_state ~pos:8 last_block
+  set_u64 sc.ps_state ~pos:0 counter;
+  set_u64 sc.ps_state ~pos:8 last_block
 
 let ref_equal (a : Encoded.as_ref) (b : Encoded.as_ref) =
   a.Encoded.as_addr = b.Encoded.as_addr

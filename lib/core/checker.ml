@@ -380,10 +380,9 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
         match precomp with
         | None -> slow_path ~fb:None
         | Some pc ->
-          (* Precompiled-site fast path (step 1 only): when the per-pid table
-             proves the call MAC — by memo equality or by resuming the saved
-             chaining state over the dynamic suffix — charge the precomp cost
-             into the same call-MAC counter and skip both the encoded-string
+          (* Precompiled-site fast path (step 1 only): when the live call
+             and tag equal the site's memo, charge the precomp cost into the
+             same call-MAC counter and skip both the encoded-string
              serialization and the vcache probe. Miss/Fallback charge nothing
              here; the slow path above decides. *)
           (match Precomp.check pc ~pid:p.pid ~call ~supplied with
@@ -392,11 +391,6 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
              charge m steps Call_mac cost;
              Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
              Asc_obs.Telemetry.Precomp_hit
-           | Precomp.Resumed { suffix_len; encoded_len } ->
-             let cost = Cost_model.precomp_lookup_cost + Cost_model.mac_resume_cost suffix_len in
-             charge m steps Call_mac cost;
-             Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
-             Asc_obs.Telemetry.Precomp_resumed
            | Precomp.Miss -> slow_path ~fb:(Some Asc_obs.Telemetry.F_no_entry)
            | Precomp.Fallback Precomp.Statics_mismatch ->
              slow_path ~fb:(Some Asc_obs.Telemetry.F_statics)
@@ -633,3 +627,34 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
               v_expected_mac = f.f_expected;
               v_got_mac = f.f_got });
     post_syscall = Kernel.no_post }
+
+let deployment ~kernel ~key ?normalize_paths () =
+  let registry = Kernel.metrics kernel in
+  let vcache = Vcache.create ~registry () in
+  let precomp = Precomp.create ~key ~registry () in
+  let cfpre = Cfpre.create ~registry () in
+  monitor ~kernel ~key ?normalize_paths ~vcache ~precomp ~cfpre ()
+
+type layer =
+  | Vcache
+  | Precomp
+  | Cfpre
+
+let layer_name = function Vcache -> "vcache" | Precomp -> "precomp" | Cfpre -> "cfpre"
+
+let fast_path_counters registry =
+  let names = Asc_obs.Metrics.names registry in
+  List.filter_map
+    (fun layer ->
+      let prefix = layer_name layer ^ "." in
+      let field name =
+        if String.starts_with ~prefix name then
+          Option.map
+            (fun v -> (String.sub name (String.length prefix) (String.length name - String.length prefix), v))
+            (Asc_obs.Metrics.value registry name)
+        else None
+      in
+      match List.filter_map field names with
+      | [] -> None
+      | fields -> Some (layer_name layer, fields))
+    [ Vcache; Precomp; Cfpre ]

@@ -28,7 +28,7 @@
 
     Every monitored call additionally records exactly one
     {!Asc_obs.Telemetry.reason} code — how its call MAC was resolved
-    (precomp hit/resume, precomp fallback by cause, vcache hit, slow
+    (precomp hit, precomp fallback by cause, vcache hit, slow
     path) or which step denied it — into the kernel's telemetry plane
     ({!Oskernel.Kernel.telemetry}), together with the call's verification
     cycles (the [checker.cycles.total] delta). The recording itself
@@ -65,14 +65,51 @@ val monitor :
     path {e in front of} step 1: per-pid tables are (re)built on
     [Proc_spawn]/[Proc_exec] and dropped on [Proc_exit] (via lifecycle
     hooks), a site's entry is compiled from its first successful
-    slow-path verification, and later traps that the table proves — memo
-    equality, or a streaming-CMAC resume over the dynamic suffix — are
-    charged [Svm.Cost_model.precomp_hit_cost], respectively
-    [precomp_lookup_cost + mac_resume_cost], on the call-MAC counter
+    slow-path verification, and later traps that equal the memo are
+    charged [Svm.Cost_model.precomp_hit_cost] on the call-MAC counter
     without serializing the encoded call at all. Misses and mismatches
     charge nothing and run the unchanged slow path (composing with
     [vcache]), so denies are byte-identical with the table on or off.
-    Must be created with the same [key]. Default: no table. *)
+    Default: no table.
+
+    [cfpre] attaches the control-flow bitset table ({!Cfpre}): a site
+    whose live predecessor-set reference and bytes equal the
+    slow-path-verified ones decides the predecessor check with one
+    load+test and updates the lbMAC with single-block CMACs against
+    per-pid scratch; anything else takes the unchanged slow path. Same
+    lifecycle hooks as [precomp]. Default: no table.
+
+    Tools run {!deployment}; the layers are separately optional so that
+    tests and the table4 ablation can compare each against the slow
+    path. *)
+
+val deployment :
+  kernel:Oskernel.Kernel.t ->
+  key:Asc_crypto.Cmac.key ->
+  ?normalize_paths:bool ->
+  unit ->
+  Oskernel.Kernel.monitor
+(** The one configuration the tools run: {!monitor} with a {!Vcache} of
+    default capacity, a {!Precomp} table and a {!Cfpre} table all armed,
+    each publishing its counters in [kernel]'s metrics registry
+    ([vcache.*], [precomp.*], [cfpre.*]). *)
+
+(** The fast-path layers, in the order they stack on the slow path. *)
+type layer =
+  | Vcache
+  | Precomp
+  | Cfpre
+
+val layer_name : layer -> string
+(** ["vcache"], ["precomp"], ["cfpre"]: the prefix under which the layer
+    publishes its counters and gauges. *)
+
+val fast_path_counters : Asc_obs.Metrics.registry -> (string * (string * int) list) list
+(** Every counter and gauge the armed layers publish in [registry],
+    grouped by layer in stacking order, as [(layer_name, [(field,
+    value); ...])] with fields sorted by name ([hits] for
+    [vcache.hits]). A layer that was not armed registered nothing and is
+    absent. *)
 
 (** {1 Fault injection} — regression-attribution test support. *)
 

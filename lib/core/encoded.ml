@@ -67,64 +67,6 @@ let encode e =
 
 let static_prefix_len = 16
 
-type dyn_field =
-  | D_const of { d_off : int; d_arg : int }
-  | D_string of { d_off : int; d_arg : int }
-  | D_ext of { d_off : int }
-  | D_control of { d_off : int }
-
-(* Walk [encode]'s layout without serializing: the fixed header is 20 bytes
-   (u32 number/site/descriptor + u64 block), then 1+8 bytes per constant
-   argument, 1+24 per string argument, 24 for the extension reference and
-   24+4 for the control-flow reference. For const/string fields the offset
-   points past the u8 index byte at the dynamic payload itself — the index
-   bytes, like the field order, are functions of the descriptor alone. *)
-let dyn_fields descriptor =
-  let off = ref 20 in
-  let fields = ref [] in
-  List.iter
-    (fun i ->
-      fields := D_const { d_off = !off + 1; d_arg = i } :: !fields;
-      off := !off + 9)
-    (Descriptor.const_args descriptor);
-  List.iter
-    (fun i ->
-      fields := D_string { d_off = !off + 1; d_arg = i } :: !fields;
-      off := !off + 25)
-    (Descriptor.string_args descriptor);
-  if Descriptor.has_ext descriptor then begin
-    fields := D_ext { d_off = !off } :: !fields;
-    off := !off + 24
-  end;
-  if Descriptor.has_control_flow descriptor then begin
-    fields := D_control { d_off = !off } :: !fields;
-    off := !off + 28
-  end;
-  List.rev !fields
-
-let encoded_length descriptor =
-  20
-  + (9 * List.length (Descriptor.const_args descriptor))
-  + (25 * List.length (Descriptor.string_args descriptor))
-  + (if Descriptor.has_ext descriptor then 24 else 0)
-  + if Descriptor.has_control_flow descriptor then 28 else 0
-
-let set_u32 b ~pos v =
-  for i = 0 to 3 do
-    Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let set_u64 b ~pos v =
-  for i = 0 to 7 do
-    Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let set_as_ref b ~pos r =
-  if String.length r.as_mac <> 16 then invalid_arg "Encoded: string MAC must be 16 bytes";
-  set_u32 b ~pos r.as_addr;
-  set_u32 b ~pos:(pos + 4) r.as_len;
-  Bytes.blit_string r.as_mac 0 b (pos + 8) 16
-
 let predset_contents preds =
   let preds = List.sort_uniq compare preds in
   let buf = Buffer.create (8 * List.length preds) in

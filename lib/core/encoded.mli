@@ -44,40 +44,8 @@ val static_prefix_len : int
     fields that are fixed for a call site across a process's lifetime:
     number, site, descriptor and the low half of the block id (the high
     half opens the suffix and is likewise a pure function of [e_block]).
-    [Asc_core.Precomp] snapshots the CMAC chaining state after this block
-    once per site and resumes it on later traps. *)
-
-(** The dynamic fields of an encoded call at a fixed site — the values the
-    kernel re-reads from registers / guest memory on every trap. [d_off] is
-    the byte offset within {!encode}'s output, past the u8 argument-index
-    byte for const/string fields (those index bytes, like every other
-    byte outside the dynamic payloads, are pure functions of the
-    descriptor). Payload widths: 8 bytes for a constant argument, 24 for a
-    string/extension reference (u32 addr, u32 len, 16-byte MAC), 24+4 for
-    the control-flow reference plus lastBlock pointer. *)
-type dyn_field =
-  | D_const of { d_off : int; d_arg : int }
-  | D_string of { d_off : int; d_arg : int }
-  | D_ext of { d_off : int }
-  | D_control of { d_off : int }
-
-val dyn_fields : Descriptor.t -> dyn_field list
-(** The dynamic-field map determined by a descriptor, in layout order —
-    mirrors {!encode} exactly (asserted by the precomp test suite). *)
-
-val encoded_length : Descriptor.t -> int
-(** Length of {!encode}'s output for any call with this descriptor (the
-    layout is fully determined by the descriptor bits). *)
-
-val set_u32 : bytes -> pos:int -> int -> unit
-(** Write a little-endian u32 in place — {!encode}'s integer encoding, for
-    patching a pre-serialized suffix template at a {!dyn_field} offset. *)
-
-val set_u64 : bytes -> pos:int -> int -> unit
-
-val set_as_ref : bytes -> pos:int -> as_ref -> unit
-(** Write an as_ref (u32 addr, u32 len, 16-byte MAC) in place.
-    @raise Invalid_argument if the MAC is not 16 bytes. *)
+    The modeled cost of a precompiled-site memo hit
+    ([Svm.Cost_model.precomp_hit_cost]) is charged on the suffix after it. *)
 
 val predset_contents : int list -> string
 (** Serialization of a predecessor set as AS contents: sorted unique u64

@@ -2,7 +2,7 @@ type key = {
   aes : Aes.key;
   k1 : bytes;
   k2 : bytes;
-  (* per-key scratch reused by [mac_bytes] and [Streaming.final], hoisted
+  (* per-key scratch reused by [mac_bytes] and [mac_block_into], hoisted
      out of the per-call path so the verification hot path allocates only
      its returned tag. Sound because MAC computations never nest: each one
      runs to completion before the next starts (no concurrency in the
@@ -75,9 +75,8 @@ let mac key msg = mac_bytes key (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String
 
 (* CMAC of a single complete 16-byte block, written into [dst] without
    allocating: the message is its own (complete) final block, so the tag is
-   AES(M1 xor k1) — the degenerate case of the streaming chain, where the
-   saved state over the empty prefix is just the subkey schedule. Equal to
-   [mac] of the same 16 bytes (pinned by the unit tests). *)
+   AES(M1 xor k1). Equal to [mac] of the same 16 bytes (pinned by the unit
+   tests). *)
 let mac_block_into key b ~dst =
   if Bytes.length b < 16 then invalid_arg "Cmac.mac_block_into: block must be 16 bytes";
   if Bytes.length dst < 16 then invalid_arg "Cmac.mac_block_into: dst must hold 16 bytes";
@@ -106,98 +105,3 @@ let equal_tags_bytes a b =
     done;
     !acc = 0
   end
-
-(* Incremental CMAC. The invariant mirrors the one-shot computation: [st_x]
-   is the CBC chaining value over every *completed* block, and the most
-   recent <= 16 bytes wait in [st_buf] — a full buffered block is only
-   encrypted once more data arrives, because the final block must still be
-   available for the k1/k2 treatment at [final] time. Consequently after any
-   nonempty absorption [st_len] is in 1..16, and [st_len = 0] iff no bytes
-   were absorbed at all — exactly the two shapes [final] distinguishes. *)
-module Streaming = struct
-  type state = {
-    st_key : key;
-    st_x : bytes;
-    st_buf : bytes;
-    mutable st_len : int;
-    mutable st_total : int;
-  }
-
-  type saved = {
-    sv_x : string;
-    sv_buf : string;
-    sv_total : int;
-  }
-
-  let init key =
-    { st_key = key;
-      st_x = Bytes.make 16 '\000';
-      st_buf = Bytes.create 16;
-      st_len = 0;
-      st_total = 0 }
-
-  let total st = st.st_total
-
-  (* fold the full buffered block into the chain; only called when more
-     data follows, so the last block is always withheld *)
-  let flush st =
-    xor_into st.st_x st.st_buf;
-    Aes.encrypt_block st.st_key.aes st.st_x ~pos:0 st.st_x ~dst_pos:0;
-    st.st_len <- 0
-
-  let update st msg ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length msg then
-      invalid_arg "Cmac.Streaming.update: slice out of bounds";
-    let i = ref pos and remaining = ref len in
-    while !remaining > 0 do
-      if st.st_len = 16 then flush st;
-      let n = min !remaining (16 - st.st_len) in
-      Bytes.blit msg !i st.st_buf st.st_len n;
-      st.st_len <- st.st_len + n;
-      i := !i + n;
-      remaining := !remaining - n
-    done;
-    st.st_total <- st.st_total + len
-
-  let update_string st s =
-    update st (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
-  let save st =
-    { sv_x = Bytes.to_string st.st_x;
-      sv_buf = Bytes.sub_string st.st_buf 0 st.st_len;
-      sv_total = st.st_total }
-
-  let resume key sv =
-    if String.length sv.sv_x <> 16 then invalid_arg "Cmac.Streaming.resume: bad chaining value";
-    let len = String.length sv.sv_buf in
-    if len > 16 || sv.sv_total < len || (sv.sv_total > 0 && len = 0) then
-      invalid_arg "Cmac.Streaming.resume: inconsistent saved state";
-    let st =
-      { st_key = key;
-        st_x = Bytes.of_string sv.sv_x;
-        st_buf = Bytes.create 16;
-        st_len = len;
-        st_total = sv.sv_total }
-    in
-    Bytes.blit_string sv.sv_buf 0 st.st_buf 0 len;
-    st
-
-  (* Non-destructive: works on the per-key scratch so the state can keep
-     absorbing afterwards (or be finalized again). *)
-  let final st =
-    let k = st.st_key in
-    Bytes.blit st.st_x 0 k.s_x 0 16;
-    if st.st_total > 0 && st.st_len = 16 then begin
-      Bytes.blit st.st_buf 0 k.s_last 0 16;
-      xor_into k.s_last k.k1
-    end
-    else begin
-      Bytes.fill k.s_last 0 16 '\000';
-      Bytes.blit st.st_buf 0 k.s_last 0 st.st_len;
-      Bytes.set k.s_last st.st_len '\x80';
-      xor_into k.s_last k.k2
-    end;
-    xor_into k.s_x k.s_last;
-    Aes.encrypt_block k.aes k.s_x ~pos:0 k.s_x ~dst_pos:0;
-    Bytes.to_string k.s_x
-end

@@ -22,10 +22,9 @@ val mac_block_into : key -> bytes -> dst:bytes -> unit
 (** [mac_block_into k b ~dst] writes the 16-byte CMAC tag of the single
     complete block [b.[0..15]] into [dst.[0..15]] without allocating. A
     complete block is its own final block, so the tag is
-    [AES(b xor k1)] — one AES invocation, the degenerate case of the
-    {!Streaming} chain whose saved empty-prefix state is the subkey
-    schedule itself. Always equal to [mac k] of the same 16 bytes; this is
-    the amortized per-call step of the checker's lbMAC nonce chain.
+    [AES(b xor k1)] — one AES invocation. Always equal to [mac k] of the
+    same 16 bytes; this is the amortized per-call step of the checker's
+    lbMAC nonce chain.
     @raise Invalid_argument if [b] or [dst] is shorter than 16 bytes. *)
 
 val equal_tags : string -> string -> bool
@@ -38,46 +37,3 @@ val equal_tags_bytes : bytes -> bytes -> bool
 
 val tag_len : int
 (** Length of a tag in bytes (16). *)
-
-(** Incremental CMAC over the same key: absorb a message in arbitrary
-    pieces, snapshot the chaining state after a known prefix, and later
-    resume from that snapshot to authenticate [prefix ++ suffix] while
-    paying AES only for the suffix blocks. For every split of a message,
-    [init; update*; final] equals the one-shot {!mac} of the whole message
-    (the property the precompiled fast path of [Asc_core.Precomp] rests
-    on). A state always withholds its most recent <= 16 bytes from the CBC
-    chain, because the final block needs the RFC 4493 k1/k2 treatment —
-    so a {!saved} snapshot carries the chaining value plus that pending
-    tail, and resuming replays no message bytes. *)
-module Streaming : sig
-  type state
-
-  type saved
-  (** An immutable snapshot of a state: safe to store long-term (e.g. in a
-      per-site precompiled table) and to {!resume} from any number of
-      times. *)
-
-  val init : key -> state
-
-  val update : state -> bytes -> pos:int -> len:int -> unit
-  (** Absorb the slice [b.[pos .. pos+len-1]].
-      @raise Invalid_argument if the slice is out of bounds. *)
-
-  val update_string : state -> string -> unit
-
-  val final : state -> string
-  (** The 16-byte tag of everything absorbed so far. Non-destructive: the
-      state may keep absorbing afterwards, and finalizing twice yields the
-      same tag. *)
-
-  val save : state -> saved
-
-  val resume : key -> saved -> state
-  (** A fresh state positioned exactly where {!save} left off.
-      @raise Invalid_argument if the snapshot is structurally invalid
-      (wrong chaining-value length, pending tail longer than a block, or
-      an impossible total/tail combination). *)
-
-  val total : state -> int
-  (** Bytes absorbed so far. *)
-end

@@ -224,7 +224,7 @@ let eval_signal ~row ~reason_delta = function
           | Alloc_per_call ->
               Option.map (fun w -> w /. calls) (field row "interval_alloc_words")
           | Precomp_hit_rate ->
-              Some (100.0 *. float_of_int (reason_delta "precomp_hit" + reason_delta "precomp_resumed") /. calls)
+              Some (100.0 *. float_of_int (reason_delta "precomp_hit") /. calls)
           | Vcache_hit_rate -> Some (100.0 *. float_of_int (reason_delta "vcache_hit") /. calls)
           | _ -> None)
       | _ -> None)

@@ -20,7 +20,7 @@
 
 type signal =
   | Deny_rate           (** 100 * interval_denies / interval_calls *)
-  | Precomp_hit_rate    (** 100 * Δ(precomp_hit + precomp_resumed) / interval_calls *)
+  | Precomp_hit_rate    (** 100 * Δprecomp_hit / interval_calls *)
   | Vcache_hit_rate     (** 100 * Δvcache_hit / interval_calls *)
   | P99_cycles          (** the row's [p99] field *)
   | Alloc_per_call      (** interval_alloc_words / interval_calls *)

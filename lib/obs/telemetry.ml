@@ -2,27 +2,25 @@ type fallback = F_no_entry | F_statics | F_tag
 
 type reason =
   | Precomp_hit
-  | Precomp_resumed
   | Precomp_fallback of fallback
   | Vcache_hit
   | Slow_path
   | Deny of string
 
-let num_reasons = 8
+let num_reasons = 7
 
 let reason_index = function
   | Precomp_hit -> 0
-  | Precomp_resumed -> 1
-  | Precomp_fallback F_no_entry -> 2
-  | Precomp_fallback F_statics -> 3
-  | Precomp_fallback F_tag -> 4
-  | Vcache_hit -> 5
-  | Slow_path -> 6
-  | Deny _ -> 7
+  | Precomp_fallback F_no_entry -> 1
+  | Precomp_fallback F_statics -> 2
+  | Precomp_fallback F_tag -> 3
+  | Vcache_hit -> 4
+  | Slow_path -> 5
+  | Deny _ -> 6
 
 let reason_labels =
-  [| "precomp_hit"; "precomp_resumed"; "fallback_no_entry"; "fallback_statics";
-     "fallback_tag"; "vcache_hit"; "slow_path"; "deny" |]
+  [| "precomp_hit"; "fallback_no_entry"; "fallback_statics"; "fallback_tag"; "vcache_hit";
+     "slow_path"; "deny" |]
 
 let reason_label r = reason_labels.(reason_index r)
 

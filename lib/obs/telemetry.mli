@@ -30,14 +30,13 @@ type fallback =
                     the [max_sites] bound) *)
   | F_statics   (** a structural field changed: number, descriptor, block
                     id or argument shape *)
-  | F_tag       (** the resumed MAC did not match the supplied tag (the
-                    slow path re-checks and decides the deny) *)
+  | F_tag       (** a dynamic field or the supplied tag differs from the
+                    memo (the slow path re-checks and decides the deny) *)
 
 (** How a monitored call's verification was resolved — exactly one code
     per call. *)
 type reason =
   | Precomp_hit               (** precompiled-site memo equality *)
-  | Precomp_resumed           (** streaming-CMAC resume over the suffix *)
   | Precomp_fallback of fallback
       (** a precomp table was armed but did not decide; the slow path
           (vcache or CMAC) verified the call *)

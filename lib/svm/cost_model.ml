@@ -44,5 +44,4 @@ let mac_cost len = mac_setup + (aes_block * ((len + 16) / 16))
 let copy_cost len = len * per_byte_copy / per_byte_copy_denom
 let vcache_hit_cost len = vcache_hit_base + (vcache_hit_per_block * ((len + 16) / 16))
 let precomp_hit_cost slen = precomp_lookup_cost + (precomp_hit_per_block * ((slen + 16) / 16))
-let mac_resume_cost slen = aes_block * ((slen + 16) / 16)
 let cfpre_hit_cost len = cfpre_lookup_cost + (cfpre_hit_per_block * ((len + 16) / 16))

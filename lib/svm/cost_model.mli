@@ -129,9 +129,3 @@ val cfpre_hit_cost : int -> int
     smaller), so the bitset path always beats re-verifying the set through
     the verified-MAC cache — the gate the table4 benchmark enforces. *)
 
-val mac_resume_cost : int -> int
-(** [mac_resume_cost slen] is the modeled cost of resuming a saved CMAC
-    chaining state over an [slen]-byte suffix:
-    [aes_block * ceil((slen+1)/16)] — the suffix blocks only; the prefix
-    block was paid once at compile time and {!mac_setup} is replaced by
-    {!precomp_lookup_cost} (charged separately by the checker). *)

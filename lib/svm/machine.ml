@@ -40,7 +40,11 @@ let attach_profile ?(alloc = false) t p =
 
 let stack_top t = Bytes.length t.mem - 16
 
-let in_range t addr len = addr >= 0 && len >= 0 && addr + len <= Bytes.length t.mem
+(* [addr + len] would wrap for an address near [max_int]; subtracting from
+   the length cannot, once both operands are known non-negative *)
+let in_range t addr len = addr >= 0 && len >= 0 && addr <= Bytes.length t.mem - len
+
+let buf_ok buf ~pos ~len = pos >= 0 && len >= 0 && pos <= Bytes.length buf - len
 
 let read_word t addr =
   if in_range t addr 8 then Some (Int64.to_int (Bytes.get_int64_le t.mem addr)) else None
@@ -73,14 +77,14 @@ let write_mem t ~addr s =
   else false
 
 let read_into t ~addr ~buf ~pos ~len =
-  if in_range t addr len && pos >= 0 && len >= 0 && pos + len <= Bytes.length buf then begin
+  if in_range t addr len && buf_ok buf ~pos ~len then begin
     Bytes.blit t.mem addr buf pos len;
     true
   end
   else false
 
 let write_from t ~addr ~buf ~pos ~len =
-  if in_range t addr len && pos >= 0 && len >= 0 && pos + len <= Bytes.length buf then begin
+  if in_range t addr len && buf_ok buf ~pos ~len then begin
     Bytes.blit buf pos t.mem addr len;
     true
   end

@@ -73,6 +73,25 @@ let test_cmac_slice () =
   in
   Alcotest.(check string) "slice equals substring" (Hex.encode whole) (Hex.encode sliced)
 
+let test_cmac_block_boundaries () =
+  (* CMAC pads an incomplete final block (subkey k2) and xors a complete
+     one (subkey k1). Around every block boundary, an unaligned slice must
+     MAC as its substring does, and a single complete block takes the
+     one-AES path with the same tag. *)
+  let buf = Bytes.init 64 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  for len = 0 to 49 do
+    let sub = Bytes.sub_string buf 3 len in
+    Alcotest.(check string)
+      (Printf.sprintf "slice of length %d" len)
+      (Hex.encode (Cmac.mac cmac_key sub))
+      (Hex.encode (Cmac.mac_bytes cmac_key buf ~pos:3 ~len))
+  done;
+  let block = Bytes.sub buf 5 16 in
+  let dst = Bytes.create 16 in
+  Cmac.mac_block_into cmac_key block ~dst;
+  Alcotest.(check string) "one complete block" (Hex.encode (Cmac.mac cmac_key (Bytes.to_string block)))
+    (Hex.encode (Bytes.to_string dst))
+
 let test_equal_tags () =
   let t = Cmac.mac cmac_key "x" in
   Alcotest.(check bool) "tag equals itself" true (Cmac.equal_tags t t);
@@ -123,100 +142,6 @@ let prop_tag_len =
   QCheck.Test.make ~name:"tags are 16 bytes" ~count:100 QCheck.string (fun s ->
       String.length (Cmac.mac cmac_key s) = Cmac.tag_len)
 
-(* --- Streaming CMAC --- *)
-
-(* Edge lengths around the block size: empty, partial, exact single and
-   multi block, and >1-block tails after a save point. *)
-let edge_lengths = [ 0; 1; 15; 16; 17; 31; 32; 33; 48; 49 ]
-
-let test_streaming_edges () =
-  List.iter
-    (fun n ->
-      let msg = String.init n (fun i -> Char.chr ((i * 7 + n) land 0xff)) in
-      let st = Cmac.Streaming.init cmac_key in
-      Cmac.Streaming.update_string st msg;
-      Alcotest.(check string)
-        (Printf.sprintf "streaming = one-shot at len %d" n)
-        (Hex.encode (Cmac.mac cmac_key msg))
-        (Hex.encode (Cmac.Streaming.final st)))
-    edge_lengths
-
-(* Every (prefix length, tail length) pair from the edge set, absorbed
-   through a save/resume boundary: the chaining state saved after the
-   prefix must finish to the one-shot tag of prefix ^ tail. *)
-let test_streaming_save_resume_edges () =
-  List.iter
-    (fun p ->
-      List.iter
-        (fun q ->
-          let msg = String.init (p + q) (fun i -> Char.chr ((i * 13 + p + q) land 0xff)) in
-          let st = Cmac.Streaming.init cmac_key in
-          Cmac.Streaming.update_string st (String.sub msg 0 p);
-          let sv = Cmac.Streaming.save st in
-          let st' = Cmac.Streaming.resume cmac_key sv in
-          Cmac.Streaming.update_string st' (String.sub msg p q);
-          Alcotest.(check string)
-            (Printf.sprintf "save@%d resume +%d" p q)
-            (Hex.encode (Cmac.mac cmac_key msg))
-            (Hex.encode (Cmac.Streaming.final st')))
-        edge_lengths)
-    edge_lengths
-
-(* [final] must not disturb the state: finalizing mid-stream and then
-   continuing gives the same tag as never finalizing, and a saved state
-   can be resumed any number of times. *)
-let test_streaming_final_nondestructive () =
-  let msg = String.init 77 (fun i -> Char.chr ((i * 31) land 0xff)) in
-  let st = Cmac.Streaming.init cmac_key in
-  Cmac.Streaming.update_string st (String.sub msg 0 30);
-  let mid = Cmac.Streaming.final st in
-  Alcotest.(check string) "mid-stream tag" (Hex.encode (Cmac.mac cmac_key (String.sub msg 0 30)))
-    (Hex.encode mid);
-  Cmac.Streaming.update_string st (String.sub msg 30 47);
-  Alcotest.(check string) "continue after final" (Hex.encode (Cmac.mac cmac_key msg))
-    (Hex.encode (Cmac.Streaming.final st));
-  let sv = Cmac.Streaming.save st in
-  let once = Cmac.Streaming.final (Cmac.Streaming.resume cmac_key sv) in
-  let twice = Cmac.Streaming.final (Cmac.Streaming.resume cmac_key sv) in
-  Alcotest.(check string) "saved state re-resumable" (Hex.encode once) (Hex.encode twice)
-
-let prop_streaming_split =
-  (* Absorbing a message in arbitrary chunks equals the one-shot CMAC: the
-     cut list is interpreted as successive chunk sizes over the message. *)
-  QCheck.Test.make ~name:"streaming cmac = one-shot under arbitrary splits" ~count:500
-    QCheck.(pair (string_of_size (Gen.int_range 0 200)) (list small_nat))
-    (fun (s, cuts) ->
-      let st = Cmac.Streaming.init cmac_key in
-      let n = String.length s in
-      let pos = ref 0 in
-      List.iter
-        (fun c ->
-          let len = min c (n - !pos) in
-          Cmac.Streaming.update st (Bytes.unsafe_of_string s) ~pos:!pos ~len;
-          pos := !pos + len)
-        cuts;
-      Cmac.Streaming.update st (Bytes.unsafe_of_string s) ~pos:!pos ~len:(n - !pos);
-      Cmac.Streaming.total st = n && Cmac.Streaming.final st = Cmac.mac cmac_key s)
-
-let prop_streaming_save_resume =
-  (* Saving at an arbitrary point and resuming (possibly into a fresh state
-     while the original keeps running) reproduces the one-shot tag. *)
-  QCheck.Test.make ~name:"streaming cmac save/resume at arbitrary points" ~count:500
-    QCheck.(pair (string_of_size (Gen.int_range 0 200)) small_nat)
-    (fun (s, cut) ->
-      let n = String.length s in
-      let cut = if n = 0 then 0 else cut mod (n + 1) in
-      let st = Cmac.Streaming.init cmac_key in
-      Cmac.Streaming.update_string st (String.sub s 0 cut);
-      let sv = Cmac.Streaming.save st in
-      (* the original state keeps absorbing — interleaved with the resumed
-         copy, proving the two share no mutable scratch *)
-      let st' = Cmac.Streaming.resume cmac_key sv in
-      Cmac.Streaming.update_string st (String.sub s cut (n - cut));
-      Cmac.Streaming.update_string st' (String.sub s cut (n - cut));
-      let expect = Cmac.mac cmac_key s in
-      Cmac.Streaming.final st = expect && Cmac.Streaming.final st' = expect)
-
 let suite =
   [ Alcotest.test_case "aes fips197 appendix B" `Quick test_aes_fips197;
     Alcotest.test_case "aes fips197 appendix C.1" `Quick test_aes_fips197_c1;
@@ -227,16 +152,12 @@ let suite =
     Alcotest.test_case "cmac rfc4493 40B" `Quick test_cmac_40;
     Alcotest.test_case "cmac rfc4493 64B" `Quick test_cmac_64;
     Alcotest.test_case "cmac slice" `Quick test_cmac_slice;
+    Alcotest.test_case "cmac around block boundaries" `Quick test_cmac_block_boundaries;
     Alcotest.test_case "constant-time tag compare" `Quick test_equal_tags;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
-    Alcotest.test_case "hex errors" `Quick test_hex_errors;
-    Alcotest.test_case "streaming cmac edge lengths" `Quick test_streaming_edges;
-    Alcotest.test_case "streaming save/resume edge pairs" `Quick
-      test_streaming_save_resume_edges;
-    Alcotest.test_case "streaming final is non-destructive" `Quick
-      test_streaming_final_nondestructive ]
+    Alcotest.test_case "hex errors" `Quick test_hex_errors ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_mac_deterministic; prop_mac_distinguishes; prop_mac_key_separation;
-        prop_tag_len; prop_streaming_split; prop_streaming_save_resume ]
+        prop_tag_len ]
 
 let () = Alcotest.run "asc_crypto" [ ("crypto", suite) ]

@@ -273,6 +273,40 @@ let test_truncated_ext_block_denied () =
   | Svm.Machine.Killed _ -> ()
   | _ -> Alcotest.fail "corrupted extension header not denied"
 
+(* --- the trap path is total under hostile registers --- *)
+
+(* A guest controls every register at a trap. A call-MAC pointer (r11) or
+   policy-state pointer (r10) near [max_int] makes [addr + len] wrap, and a
+   bounds check written that way let the checker's MAC read, or the deny
+   path's forensic snapshot, raise out of [Kernel.run]. Each must instead
+   end the process with a typed violation. *)
+let test_hostile_registers_killed () =
+  let img = install ~program_id:1 ~program:"hostile" "int main() { getpid(); return 0; }" in
+  List.iter
+    (fun (reg, v) ->
+      let what = Printf.sprintf "r%d = 0x%x" reg v in
+      let kernel = Kernel.create ~personality () in
+      let checker = Asc_core.Checker.deployment ~kernel ~key () in
+      let pre (p : Process.t) ~site ~number =
+        p.Process.machine.Svm.Machine.regs.(reg) <- v;
+        checker.Kernel.pre_syscall p ~site ~number
+      in
+      Kernel.set_monitor kernel (Some { checker with Kernel.pre_syscall = pre });
+      let proc = Kernel.spawn kernel ~program:"hostile" img in
+      match Kernel.run kernel proc ~max_cycles:100_000_000 with
+      | exception e -> Alcotest.failf "%s: Kernel.run raised %s" what (Printexc.to_string e)
+      | Svm.Machine.Killed _ ->
+        let steps =
+          List.filter_map
+            (function
+              | Kernel.Violation { violation = v; _ } -> Some (Violation.step_name v.Violation.v_step)
+              | _ -> None)
+            (Kernel.audit_log kernel)
+        in
+        Alcotest.(check (list string)) (what ^ ": typed violation") [ "call_mac" ] steps
+      | _ -> Alcotest.failf "%s: not killed" what)
+    [ (11, max_int); (11, max_int - 15); (10, max_int); (10, max_int - 15) ]
+
 let test_policy_pretty_printer () =
   let img =
     Minic.Driver.compile_exn ~personality
@@ -308,4 +342,6 @@ let () =
           Alcotest.test_case "sockets" `Quick test_sendto_socket;
           Alcotest.test_case "corrupted extension denied" `Quick
             test_truncated_ext_block_denied;
+          Alcotest.test_case "hostile registers end in a typed violation" `Quick
+            test_hostile_registers_killed;
           Alcotest.test_case "policy pretty printer" `Quick test_policy_pretty_printer ] ) ]

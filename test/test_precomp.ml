@@ -1,23 +1,19 @@
 (* The precompiled-site table (Asc_core.Precomp).
 
    Like the vcache, the table is a pure accelerator: its fast path may only
-   prove calls whose rebuilt MAC matches the supplied tag, never change a
-   verdict. The unit tests pin the verdict lattice (miss / memo hit /
-   streaming resume / fallback), the suffix-patching soundness (a resumed
-   MAC is exactly the slow path's MAC of the live call), the per-pid
-   lifecycle and the site bound. The differential properties run randomly
-   generated programs — and random byte mutations of an installed binary —
-   on a precomp-on and a precomp-off kernel and require identical
-   observable behavior, with the saved cycles exactly accounted. *)
+   prove a call that equals, with its tag, one the slow path verified at
+   the same site — never change a verdict. The unit tests pin the verdict
+   lattice (miss / memo hit / fallback), that every dynamic field takes
+   part in the memo comparison, the per-pid lifecycle and the site bound;
+   the lifecycle and differential tests come from the shared {!Fastpath}
+   harness. *)
 
-open Oskernel
 module Cmac = Asc_crypto.Cmac
 module Encoded = Asc_core.Encoded
 module Descriptor = Asc_core.Descriptor
 module Precomp = Asc_core.Precomp
 
 let key = Cmac.of_raw "precomp-test-key"
-let personality = Personality.linux
 
 (* ---- unit tests on the table proper ---- *)
 
@@ -60,8 +56,6 @@ let verdict =
       | Precomp.Miss -> Format.fprintf ppf "Miss"
       | Precomp.Hit { suffix_len; encoded_len } ->
         Format.fprintf ppf "Hit(%d/%d)" suffix_len encoded_len
-      | Precomp.Resumed { suffix_len; encoded_len } ->
-        Format.fprintf ppf "Resumed(%d/%d)" suffix_len encoded_len
       | Precomp.Fallback Precomp.Statics_mismatch -> Format.fprintf ppf "Fallback(statics)"
       | Precomp.Fallback Precomp.Tag_mismatch -> Format.fprintf ppf "Fallback(tag)")
     ( = )
@@ -94,42 +88,25 @@ let test_statics_mismatch_falls_back () =
     (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
   Alcotest.(check int) "no false hits" 0 (Precomp.hits t)
 
-let test_resume_moves_memo () =
-  let t = create () in
-  compile_call t ~pid:1 (mk ~cval:42 ());
-  let call' = mk ~cval:43 () in
-  let len = String.length (Encoded.encode call') in
-  Alcotest.check verdict "changed argument resumes"
-    (Precomp.Resumed { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
-    (Precomp.check t ~pid:1 ~call:call' ~supplied:(mac_of call'));
-  Alcotest.check verdict "memo moved: second time is a hit"
-    (Precomp.Hit { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
-    (Precomp.check t ~pid:1 ~call:call' ~supplied:(mac_of call'));
-  (* a resume against a wrong tag proves nothing and remembers nothing *)
-  Alcotest.check verdict "wrong tag on a changed call falls back"
-    (Precomp.Fallback Precomp.Tag_mismatch)
-    (Precomp.check t ~pid:1 ~call:(mk ~cval:44 ()) ~supplied:(mac_of call'));
-  Alcotest.check verdict "failed resume did not move the memo"
-    (Precomp.Hit { suffix_len = len - Encoded.static_prefix_len; encoded_len = len })
-    (Precomp.check t ~pid:1 ~call:call' ~supplied:(mac_of call'))
-
-let test_patching_covers_every_field_kind () =
-  (* Compile from one rich call, then present calls differing in each
-     dynamic field in turn (and in all at once). A Resumed verdict means
-     the patched template MAC'd to the slow path's tag — i.e. patching
-     reproduced Encoded.encode of the live call byte-for-byte. *)
+let test_changed_call_falls_back () =
+  (* A validly tagged call that differs from the memo in any one dynamic
+     field is not the compiled verification: the table declines and the
+     slow path decides. The first call compiled at a site stays its memo. *)
   let t = create () in
   compile_call t ~pid:1 (rich ());
-  let resumed what call =
-    match Precomp.check t ~pid:1 ~call ~supplied:(mac_of call) with
-    | Precomp.Resumed _ | Precomp.Hit _ -> ()
-    | v -> Alcotest.failf "%s: expected Resumed, got %a" what (Alcotest.pp verdict) v
+  let declines what call =
+    Alcotest.check verdict what (Precomp.Fallback Precomp.Tag_mismatch)
+      (Precomp.check t ~pid:1 ~call ~supplied:(mac_of call))
   in
-  resumed "const value" (rich ~cval:6 ());
-  resumed "string contents + address" (rich ~s:("/tmp/bb", 0x910) ());
-  resumed "extension address" (rich ~ext_addr:0xa40 ());
-  resumed "control-flow ref + lbptr" (rich ~cf:(0xb40, 0xc40) ());
-  resumed "all fields at once" (rich ~cval:7 ~s:("/x", 0x920) ~ext_addr:0xa80 ~cf:(0xb80, 0xc80) ())
+  declines "const value" (rich ~cval:6 ());
+  declines "string contents + address" (rich ~s:("/tmp/bb", 0x910) ());
+  declines "extension address" (rich ~ext_addr:0xa40 ());
+  declines "control-flow ref + lbptr" (rich ~cf:(0xb40, 0xc40) ());
+  compile_call t ~pid:1 (rich ~cval:6 ());
+  Alcotest.(check int) "first writer wins" 1 (Precomp.compiles t);
+  match Precomp.check t ~pid:1 ~call:(rich ()) ~supplied:(mac_of (rich ())) with
+  | Precomp.Hit _ -> ()
+  | v -> Alcotest.failf "the first call should still hit, got %a" (Alcotest.pp verdict) v
 
 let test_pid_lifecycle () =
   let t = create () in
@@ -147,6 +124,23 @@ let test_pid_lifecycle () =
   Alcotest.(check int) "both invalidations counted" 2 (Precomp.invalidations t);
   Alcotest.(check int) "table empty" 0 (Precomp.size t)
 
+let test_clear_drops_every_pid () =
+  (* clearing the table forgets every pid's memo, counted as
+     invalidations, so no later check can hit an entry compiled before *)
+  let t = create () in
+  let call = mk () in
+  compile_call t ~pid:1 call;
+  compile_call t ~pid:2 call;
+  compile_call t ~pid:2 (mk ~site:0x44 ());
+  Precomp.clear t;
+  Alcotest.(check int) "table empty" 0 (Precomp.size t);
+  Alcotest.(check int) "every entry counted" 3 (Precomp.invalidations t);
+  Alcotest.check verdict "pid 1 misses" Precomp.Miss
+    (Precomp.check t ~pid:1 ~call ~supplied:(mac_of call));
+  Alcotest.check verdict "pid 2 misses" Precomp.Miss
+    (Precomp.check t ~pid:2 ~call ~supplied:(mac_of call));
+  Alcotest.(check int) "no hits after clear" 0 (Precomp.hits t)
+
 let test_max_sites_bound () =
   let t = create ~max_sites:1 () in
   compile_call t ~pid:1 (mk ~site:0x40 ());
@@ -159,260 +153,15 @@ let test_max_sites_bound () =
     (Invalid_argument "Precomp.create: max_sites must be >= 1") (fun () ->
       ignore (create ~max_sites:0 ()))
 
-(* ---- kernel-level lifecycle: execve and teardown invalidation ---- *)
-
-let install ?(program_id = 1) ~program src =
-  let img = Minic.Driver.compile_exn ~personality src in
-  match
-    Asc_core.Installer.install ~key ~personality
-      ~options:{ Asc_core.Installer.default_options with program_id }
-      ~program img
-  with
-  | Ok inst -> inst.Asc_core.Installer.image
-  | Error e -> Alcotest.failf "install %s: %s" program e
-
-let run_image ?(use_precomp = false) ?(setup = fun _ -> ()) image =
-  let kernel = Kernel.create ~personality () in
-  kernel.Kernel.tracing <- true;
-  let precomp =
-    if use_precomp then Some (Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ?precomp ()));
-  setup kernel;
-  let proc = Kernel.spawn kernel ~program:"pt" image in
-  let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
-  (kernel, proc, stop, precomp)
-
-let test_execve_invalidation () =
-  (* A warms its site table, then execs B: A's entries were compiled against
-     an image that is gone, so the exec must rebuild the pid's table (and B
-     then compiles its own sites). *)
-  let b_img = install ~program_id:2 ~program:"progB" "int main() { getpid(); return 4; }" in
-  let a_img =
-    install ~program_id:1 ~program:"progA"
-      {|
-int main() {
-  int k;
-  for (k = 0; k < 5; k = k + 1) { getpid(); }
-  execve("/bin/progB", 0, 0);
-  return 1;
-}
-|}
-  in
-  let _, _, stop, precomp =
-    run_image ~use_precomp:true
-      ~setup:(fun kernel -> Kernel.install_binary kernel ~path:"/bin/progB" b_img)
-      a_img
-  in
-  (match stop with
-   | Svm.Machine.Halted 4 -> ()
-   | Svm.Machine.Killed r -> Alcotest.failf "killed: %s" r
-   | _ -> Alcotest.fail "execve chain did not reach B's exit");
-  let pc = Option.get precomp in
-  Alcotest.(check bool) "the loop hit the table" true (Precomp.hits pc > 0);
-  Alcotest.(check bool) "exec dropped the pid's entries" true (Precomp.invalidations pc > 0)
-
-let test_teardown_invalidation () =
-  let img =
-    install ~program:"loop"
-      "int main() { int k; for (k = 0; k < 8; k = k + 1) { getpid(); } return 0; }"
-  in
-  let _, _, stop, precomp = run_image ~use_precomp:true img in
-  (match stop with
-   | Svm.Machine.Halted 0 -> ()
-   | _ -> Alcotest.fail "run did not halt cleanly");
-  let pc = Option.get precomp in
-  Alcotest.(check bool) "the run populated the table" true (Precomp.hits pc > 0);
-  Alcotest.(check int) "teardown left it empty" 0 (Precomp.size pc)
-
-let test_hot_loop_accounting () =
-  (* the cycles the precompiled run saves are exactly the cycles-saved
-     gauge: every divergence from the slow path is accounted *)
-  let img =
-    install ~program:"hot"
-      "int main() { int k; for (k = 0; k < 50; k = k + 1) { getpid(); } return 0; }"
-  in
-  let _, p_off, _, _ = run_image ~use_precomp:false img in
-  let _, p_on, _, precomp = run_image ~use_precomp:true img in
-  let pc = Option.get precomp in
-  let off = p_off.Process.machine.Svm.Machine.cycles in
-  let on = p_on.Process.machine.Svm.Machine.cycles in
-  Alcotest.(check bool) "table saves cycles" true (on < off);
-  Alcotest.(check int) "savings fully accounted" (off - on) (Precomp.cycles_saved pc)
-
-(* ---- differential property: precomp on vs off on random programs ---- *)
-
-let loop_counter = ref 0
-
-let fresh () =
-  incr loop_counter;
-  Printf.sprintf "p%d" !loop_counter
-
-(* Small terminating MiniC programs biased toward repeated syscalls (loops
-   around call statements) so the site table actually gets traffic. *)
-let gen_program =
-  let open QCheck.Gen in
-  let var i = Printf.sprintf "v%d" (i mod 3) in
-  let gen_call =
-    let* c = int_bound 5 in
-    let u = fresh () in
-    return
-      (match c with
-       | 0 -> "getpid();"
-       | 1 -> "write(1, \"ab\", 2);"
-       | 2 ->
-         Printf.sprintf
-           "{ int f%s = open(\"/tmp/v\", 65, 420); if (f%s >= 0) { write(f%s, \"y\", 1); close(f%s); } }"
-           u u u u
-       | 3 -> "access(\"/etc/q\", 4);"
-       | 4 -> Printf.sprintf "{ char t%s[16]; gettimeofday(t%s, 0); }" u u
-       | _ -> "puts_str(\"t\\n\");")
-  in
-  let gen_stmt =
-    oneof
-      [ (let* i = int_bound 2 in
-         let* v = int_bound 999 in
-         return (Printf.sprintf "%s = %s + %d;" (var i) (var ((i + 1) mod 3)) v));
-        gen_call;
-        (let* body = gen_call in
-         let k = fresh () in
-         return
-           (Printf.sprintf "{ int %s; for (%s = 0; %s < 4; %s = %s + 1) { %s } }" k k k k k
-              body)) ]
-  in
-  let* stmts = list_size (int_range 1 10) gen_stmt in
-  return
-    (Printf.sprintf "int v0; int v1; int v2;\nint main() {\n  %s\n  return v0 %% 100;\n}"
-       (String.concat "\n  " stmts))
-
-let arbitrary_program = QCheck.make ~print:(fun s -> s) gen_program
-
-(* Everything a run observably did: how it stopped, what it printed, every
-   trace entry, and the audit verdicts (violation steps only — forensic
-   snapshots embed cycle counts, which legitimately differ between
-   configurations). *)
-let observed kernel (proc : Process.t) stop =
-  let verdicts =
-    List.filter_map
-      (function
-        | Kernel.Violation { violation = v; _ } -> Some ("v:" ^ Violation.step_name v.Violation.v_step)
-        | Kernel.Denied { reason; _ } -> Some ("d:" ^ reason)
-        | Kernel.Execve { path; _ } -> Some ("e:" ^ path)
-        | Kernel.Alert _ -> None)
-      (Kernel.audit_log kernel)
-  in
-  (stop, Kernel.stdout_of proc, Kernel.trace kernel, verdicts)
-
-let prop_differential =
-  QCheck.Test.make ~name:"precomp on/off runs are observably identical" ~count:40
-    arbitrary_program (fun src ->
-      match Minic.Driver.compile ~personality src with
-      | Error e -> QCheck.Test.fail_reportf "generated program does not compile: %s" e
-      | Ok img ->
-        (match Asc_core.Installer.install ~key ~personality ~program:"pt" img with
-         | Error e -> QCheck.Test.fail_reportf "install failed: %s" e
-         | Ok inst ->
-           let image = inst.Asc_core.Installer.image in
-           let k_off, p_off, stop_off, _ = run_image ~use_precomp:false image in
-           let k_on, p_on, stop_on, precomp = run_image ~use_precomp:true image in
-           let obs_off = observed k_off p_off stop_off in
-           let obs_on = observed k_on p_on stop_on in
-           if obs_off <> obs_on then
-             QCheck.Test.fail_reportf "precomp-on run diverged from precomp-off";
-           (match stop_off with
-            | Svm.Machine.Killed r -> QCheck.Test.fail_reportf "false alarm: %s" r
-            | _ -> ());
-           let pc = Option.get precomp in
-           let off = p_off.Process.machine.Svm.Machine.cycles in
-           let on = p_on.Process.machine.Svm.Machine.cycles in
-           if on > off then
-             QCheck.Test.fail_reportf "precomp-on run cost more cycles (%d > %d)" on off;
-           off - on = Precomp.cycles_saved pc))
-
-(* ---- differential property: mutations deny identically ---- *)
-
-let fixed_victim =
-  lazy
-    (let src =
-       {|
-int main() {
-  int k;
-  for (k = 0; k < 3; k = k + 1) {
-    int fd = open("/tmp/f", 65, 420);
-    write(fd, "fuzzdata", 8);
-    close(fd);
-  }
-  puts_str("done\n");
-  return 0;
-}
-|}
-     in
-     let img = Minic.Driver.compile_exn ~personality src in
-     match Asc_core.Installer.install ~key ~personality ~program:"fuzz" img with
-     | Ok inst -> Svm.Obj_file.serialize inst.Asc_core.Installer.image
-     | Error e -> failwith e)
-
-let run_mutated ~use_precomp img =
-  let kernel = Kernel.create ~personality () in
-  let precomp =
-    if use_precomp then Some (Precomp.create ~key ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ?precomp ()));
-  match Kernel.spawn kernel ~program:"mut" img with
-  | exception Invalid_argument _ -> None (* image refused before any code ran *)
-  | proc ->
-    let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
-    let steps =
-      List.filter_map
-        (function
-          | Kernel.Violation { violation = v; _ } -> Some (Violation.step_name v.Violation.v_step)
-          | _ -> None)
-        (Kernel.audit_log kernel)
-    in
-    Some (stop, Kernel.stdout_of proc, steps)
-
-let prop_mutation_deny_parity =
-  QCheck.Test.make ~name:"mutations trip identical verdicts precomp on/off" ~count:200
-    QCheck.(pair small_nat (int_bound 255))
-    (fun (pos, byte) ->
-      let serialized = Lazy.force fixed_victim in
-      let b = Bytes.of_string serialized in
-      let pos = 8 + (pos * 131 mod (Bytes.length b - 8)) in
-      Bytes.set b pos (Char.chr byte);
-      match Svm.Obj_file.parse (Bytes.to_string b) with
-      | Error _ -> true (* corrupt image rejected at parse time *)
-      | Ok img ->
-        (match (run_mutated ~use_precomp:false img, run_mutated ~use_precomp:true img) with
-         | None, None -> true
-         | Some (Svm.Machine.Cycle_limit, _, _), Some _
-         | Some _, Some (Svm.Machine.Cycle_limit, _, _) ->
-           true (* a runaway loop hits the budget at different points *)
-         | Some a, Some b ->
-           if a = b then true
-           else QCheck.Test.fail_reportf "mutation verdict diverged precomp on/off"
-         | Some _, None | None, Some _ ->
-           QCheck.Test.fail_reportf "image load diverged precomp on/off"))
-
-let props =
-  List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_mutation_deny_parity ]
-
 let () =
   Alcotest.run "precomp"
     [ ( "unit",
         [ Alcotest.test_case "compile then memo hit" `Quick test_compile_and_hit;
           Alcotest.test_case "statics mismatch falls back" `Quick
             test_statics_mismatch_falls_back;
-          Alcotest.test_case "resume verifies and moves the memo" `Quick
-            test_resume_moves_memo;
-          Alcotest.test_case "patching covers every field kind" `Quick
-            test_patching_covers_every_field_kind;
+          Alcotest.test_case "a changed call falls back" `Quick test_changed_call_falls_back;
           Alcotest.test_case "pid lifecycle" `Quick test_pid_lifecycle;
+          Alcotest.test_case "clear drops every pid" `Quick test_clear_drops_every_pid;
           Alcotest.test_case "max_sites bound" `Quick test_max_sites_bound ] );
-      ( "lifecycle",
-        [ Alcotest.test_case "execve rebuilds the pid's table" `Quick
-            test_execve_invalidation;
-          Alcotest.test_case "teardown empties the table" `Quick test_teardown_invalidation;
-          Alcotest.test_case "hot loop savings accounted" `Quick test_hot_loop_accounting ] );
-      ("differential", props) ]
+      ("lifecycle", Fastpath.lifecycle_tests Fastpath.Precomp);
+      ("differential", Fastpath.props (Fastpath.Only Fastpath.Precomp)) ]

@@ -231,6 +231,42 @@ let test_fault_bad_address () =
   | Machine.Faulted (Machine.Bad_address _, _) -> ()
   | _ -> Alcotest.fail "expected bad-address fault"
 
+(* Addresses near [max_int]: [addr + len] wraps negative there, so a bounds
+   check written as [addr + len <= size] would accept them and the blit
+   would raise. Every accessor must refuse them instead. *)
+let test_wrapping_addresses_refused () =
+  let m = Machine.create ~mem_size:4096 in
+  let buf = Bytes.create 16 in
+  List.iter
+    (fun addr ->
+      let what f = Printf.sprintf "%s at 0x%x" f addr in
+      Alcotest.(check (option string)) (what "read_mem") None (Machine.read_mem m ~addr ~len:16);
+      Alcotest.(check (option int)) (what "read_word") None (Machine.read_word m addr);
+      Alcotest.(check bool) (what "read_into") false
+        (Machine.read_into m ~addr ~buf ~pos:0 ~len:16);
+      Alcotest.(check bool) (what "write_mem") false
+        (Machine.write_mem m ~addr (String.make 16 'x'));
+      Alcotest.(check bool) (what "write_from") false
+        (Machine.write_from m ~addr ~buf ~pos:0 ~len:16))
+    [ max_int; max_int - 15 ]
+
+let test_wrapping_buffer_offsets_refused () =
+  (* the host-buffer side of a copy: [pos + len] on the buffer must not
+     wrap either, in both directions, and a refused copy moves no byte *)
+  let m = Machine.create ~mem_size:4096 in
+  let buf = Bytes.make 16 'b' in
+  List.iter
+    (fun pos ->
+      let what f = Printf.sprintf "%s with buffer pos 0x%x" f pos in
+      Alcotest.(check bool) (what "read_into") false
+        (Machine.read_into m ~addr:0 ~buf ~pos ~len:16);
+      Alcotest.(check bool) (what "write_from") false
+        (Machine.write_from m ~addr:0 ~buf ~pos ~len:16))
+    [ max_int; max_int - 15 ];
+  Alcotest.(check string) "buffer untouched" (String.make 16 'b') (Bytes.to_string buf);
+  Alcotest.(check (option string)) "memory untouched" (Some (String.make 16 '\000'))
+    (Machine.read_mem m ~addr:0 ~len:16)
+
 let test_fault_bad_opcode () =
   (* jump into the data section, which holds non-instruction bytes *)
   let _, stop =
@@ -361,6 +397,9 @@ let suite =
     Alcotest.test_case "branch loop" `Quick test_branches_loop;
     Alcotest.test_case "div by zero faults" `Quick test_fault_div_zero;
     Alcotest.test_case "bad address faults" `Quick test_fault_bad_address;
+    Alcotest.test_case "wrapping addresses refused" `Quick test_wrapping_addresses_refused;
+    Alcotest.test_case "wrapping buffer offsets refused" `Quick
+      test_wrapping_buffer_offsets_refused;
     Alcotest.test_case "bad opcode faults" `Quick test_fault_bad_opcode;
     Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
     Alcotest.test_case "sys hook sees call site" `Quick test_sys_hook;

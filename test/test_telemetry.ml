@@ -108,7 +108,7 @@ let test_ledger_entries () =
 (* ---- the merge algebra ---- *)
 
 let reasons_pool =
-  [| T.Precomp_hit; T.Precomp_resumed; T.Precomp_fallback T.F_no_entry;
+  [| T.Precomp_hit; T.Precomp_fallback T.F_no_entry;
      T.Precomp_fallback T.F_statics; T.Precomp_fallback T.F_tag; T.Vcache_hit;
      T.Slow_path; T.Deny "call_mac"; T.Deny "control_flow" |]
 
@@ -219,6 +219,20 @@ let test_reason_taxonomy () =
     (T.reason_index (T.Deny "call_mac"))
     (T.reason_index (T.Deny "control_flow"))
 
+let test_reason_labels_stable () =
+  (* the labels are a published schema: JSON snapshots and the host-time
+     benchmark's slow-path share read these exact strings *)
+  List.iter
+    (fun (r, label) -> Alcotest.(check string) label label (T.reason_label r))
+    [ (T.Precomp_hit, "precomp_hit");
+      (T.Precomp_fallback T.F_no_entry, "fallback_no_entry");
+      (T.Precomp_fallback T.F_statics, "fallback_statics");
+      (T.Precomp_fallback T.F_tag, "fallback_tag");
+      (T.Vcache_hit, "vcache_hit");
+      (T.Slow_path, "slow_path");
+      (T.Deny "call_mac", "deny") ];
+  Alcotest.(check int) "no other bucket" 7 T.num_reasons
+
 (* ---- snapshot emitter ---- *)
 
 let test_emitter_rows () =
@@ -266,6 +280,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_merge_associates;
           QCheck_alcotest.to_alcotest qcheck_aggregate_equals_fold ] );
       ( "taxonomy",
-        [ Alcotest.test_case "labels exhaustive and distinct" `Quick test_reason_taxonomy ] );
+        [ Alcotest.test_case "labels exhaustive and distinct" `Quick test_reason_taxonomy;
+          Alcotest.test_case "labels stable" `Quick test_reason_labels_stable ] );
       ( "emitter",
         [ Alcotest.test_case "interval rows" `Quick test_emitter_rows ] ) ]

@@ -2,19 +2,12 @@
 
    The cache is a pure accelerator: it may only skip CMAC recomputation for
    byte-identical successful verifications, never change a verdict. The
-   differential properties here run randomly generated programs — and random
-   byte mutations of an installed binary — on a cache-on and a cache-off
-   kernel and require identical observable behavior (exit status, stdout,
-   syscall trace, audit verdicts), with the cached run never costing more
-   cycles. The unit tests pin the lifecycle: LRU eviction at capacity,
-   invalidation on execve and process teardown, and pid isolation. *)
+   unit tests pin LRU eviction at capacity, that the key covers bytes and
+   tag, and pid isolation; the lifecycle and differential tests come from
+   the shared {!Fastpath} harness, plus a thrashing 1-entry cache. *)
 
 open Oskernel
-module Cmac = Asc_crypto.Cmac
 module Vcache = Asc_core.Vcache
-
-let key = Cmac.of_raw "vcache-test-key!"
-let personality = Personality.linux
 
 (* ---- unit tests on the cache proper ---- *)
 
@@ -72,76 +65,6 @@ let test_capacity_validated () =
     (Invalid_argument "Vcache.create: capacity must be >= 1") (fun () ->
       ignore (Vcache.create ~capacity:0 ~registry:(Asc_obs.Metrics.create ()) ()))
 
-(* ---- kernel-level lifecycle: execve and teardown invalidation ---- *)
-
-let install ?(program_id = 1) ~program src =
-  let img = Minic.Driver.compile_exn ~personality src in
-  match
-    Asc_core.Installer.install ~key ~personality
-      ~options:{ Asc_core.Installer.default_options with program_id }
-      ~program img
-  with
-  | Ok inst -> inst.Asc_core.Installer.image
-  | Error e -> Alcotest.failf "install %s: %s" program e
-
-let run_image ?(use_vcache = false) ?(capacity = 1024) ?(setup = fun _ -> ()) image =
-  let kernel = Kernel.create ~personality () in
-  kernel.Kernel.tracing <- true;
-  let vcache =
-    if use_vcache then
-      Some (Vcache.create ~capacity ~registry:(Kernel.metrics kernel) ())
-    else None
-  in
-  Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ()));
-  setup kernel;
-  let proc = Kernel.spawn kernel ~program:"vt" image in
-  let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
-  (kernel, proc, stop, vcache)
-
-let test_execve_invalidation () =
-  (* A warms the cache, then execs B: A's entries were verified against an
-     image that is gone, so the exec must flush them (and B then warms its
-     own). The invalidations counter proves the flush happened. *)
-  let b_img = install ~program_id:2 ~program:"progB" "int main() { getpid(); return 4; }" in
-  let a_img =
-    install ~program_id:1 ~program:"progA"
-      {|
-int main() {
-  int k;
-  for (k = 0; k < 5; k = k + 1) { getpid(); }
-  execve("/bin/progB", 0, 0);
-  return 1;
-}
-|}
-  in
-  let _, _, stop, vcache =
-    run_image ~use_vcache:true
-      ~setup:(fun kernel -> Kernel.install_binary kernel ~path:"/bin/progB" b_img)
-      a_img
-  in
-  (match stop with
-   | Svm.Machine.Halted 4 -> ()
-   | Svm.Machine.Killed r -> Alcotest.failf "killed: %s" r
-   | _ -> Alcotest.fail "execve chain did not reach B's exit");
-  let vc = Option.get vcache in
-  Alcotest.(check bool) "the loop hit the cache" true (Vcache.hits vc > 0);
-  Alcotest.(check bool) "exec flushed the pid's entries" true (Vcache.invalidations vc > 0)
-
-let test_teardown_invalidation () =
-  (* process exit drops the pid's entries, so a later process that happens
-     to get the same pid can never see this image's warm cache *)
-  let img =
-    install ~program:"loop"
-      "int main() { int k; for (k = 0; k < 8; k = k + 1) { getpid(); } return 0; }"
-  in
-  let _, _, stop, vcache = run_image ~use_vcache:true img in
-  (match stop with
-   | Svm.Machine.Halted 0 -> ()
-   | _ -> Alcotest.fail "run did not halt cleanly");
-  let vc = Option.get vcache in
-  Alcotest.(check bool) "the run populated the cache" true (Vcache.hits vc > 0);
-  Alcotest.(check int) "teardown left it empty" 0 (Vcache.size vc)
-
 let test_tiny_capacity_still_sound () =
   (* a 1-entry cache thrashes (every distinct site evicts the previous one)
      but must stay sound and cheap: same behavior, no extra cycles *)
@@ -154,188 +77,17 @@ int main() {
 }
 |}
   in
-  let img = install ~program:"thrash" src in
-  let _, p_off, stop_off, _ = run_image ~use_vcache:false img in
-  let _, p_on, stop_on, vcache = run_image ~use_vcache:true ~capacity:1 img in
+  let img = Fastpath.install ~program:"thrash" src in
+  let _, p_off, stop_off = Fastpath.run_image img in
+  let k_on, p_on, stop_on = Fastpath.run_image ~config:(Fastpath.Only Fastpath.Vcache) ~capacity:1 img in
   (match (stop_off, stop_on) with
    | Svm.Machine.Halted a, Svm.Machine.Halted b -> Alcotest.(check int) "same exit" a b
    | _ -> Alcotest.fail "runs did not halt");
   Alcotest.(check string) "same stdout" (Kernel.stdout_of p_off) (Kernel.stdout_of p_on);
-  let vc = Option.get vcache in
-  Alcotest.(check bool) "thrashing evicts" true (Vcache.evictions vc > 0);
+  Alcotest.(check bool) "thrashing evicts" true
+    (Fastpath.metric k_on Fastpath.Vcache "evictions" > 0);
   Alcotest.(check bool) "never more cycles than cache-off" true
-    (p_on.Process.machine.Svm.Machine.cycles <= p_off.Process.machine.Svm.Machine.cycles)
-
-let test_hot_loop_accounting () =
-  (* the cycles the cached run saves are exactly the cycles-saved gauge:
-     every divergence from the slow path is accounted, nothing else moved *)
-  let img =
-    install ~program:"hot"
-      "int main() { int k; for (k = 0; k < 50; k = k + 1) { getpid(); } return 0; }"
-  in
-  let _, p_off, _, _ = run_image ~use_vcache:false img in
-  let _, p_on, _, vcache = run_image ~use_vcache:true img in
-  let vc = Option.get vcache in
-  let off = p_off.Process.machine.Svm.Machine.cycles in
-  let on = p_on.Process.machine.Svm.Machine.cycles in
-  Alcotest.(check bool) "cache saves cycles" true (on < off);
-  Alcotest.(check int) "savings fully accounted" (off - on) (Vcache.cycles_saved vc)
-
-(* ---- differential property: cache on vs off on random programs ---- *)
-
-let loop_counter = ref 0
-
-let fresh () =
-  incr loop_counter;
-  Printf.sprintf "u%d" !loop_counter
-
-(* Small terminating MiniC programs biased toward repeated syscalls (loops
-   around call statements) so the cache actually gets traffic. *)
-let gen_program =
-  let open QCheck.Gen in
-  let var i = Printf.sprintf "v%d" (i mod 3) in
-  let gen_call =
-    let* c = int_bound 5 in
-    let u = fresh () in
-    return
-      (match c with
-       | 0 -> "getpid();"
-       | 1 -> "write(1, \"ab\", 2);"
-       | 2 ->
-         Printf.sprintf
-           "{ int f%s = open(\"/tmp/v\", 65, 420); if (f%s >= 0) { write(f%s, \"y\", 1); close(f%s); } }"
-           u u u u
-       | 3 -> "access(\"/etc/q\", 4);"
-       | 4 -> Printf.sprintf "{ char t%s[16]; gettimeofday(t%s, 0); }" u u
-       | _ -> "puts_str(\"t\\n\");")
-  in
-  let gen_stmt =
-    oneof
-      [ (let* i = int_bound 2 in
-         let* v = int_bound 999 in
-         return (Printf.sprintf "%s = %s + %d;" (var i) (var ((i + 1) mod 3)) v));
-        gen_call;
-        (let* body = gen_call in
-         let k = fresh () in
-         return
-           (Printf.sprintf "{ int %s; for (%s = 0; %s < 4; %s = %s + 1) { %s } }" k k k k k
-              body)) ]
-  in
-  let* stmts = list_size (int_range 1 10) gen_stmt in
-  return
-    (Printf.sprintf "int v0; int v1; int v2;\nint main() {\n  %s\n  return v0 %% 100;\n}"
-       (String.concat "\n  " stmts))
-
-let arbitrary_program = QCheck.make ~print:(fun s -> s) gen_program
-
-(* Everything a run observably did: how it stopped, what it printed, every
-   trace entry, and the audit verdicts (violation steps only — forensic
-   snapshots embed cycle counts, which legitimately differ between cache
-   modes). *)
-let observed kernel (proc : Process.t) stop =
-  let verdicts =
-    List.filter_map
-      (function
-        | Kernel.Violation { violation = v; _ } -> Some ("v:" ^ Violation.step_name v.Violation.v_step)
-        | Kernel.Denied { reason; _ } -> Some ("d:" ^ reason)
-        | Kernel.Execve { path; _ } -> Some ("e:" ^ path)
-        | Kernel.Alert _ -> None)
-      (Kernel.audit_log kernel)
-  in
-  (stop, Kernel.stdout_of proc, Kernel.trace kernel, verdicts)
-
-let prop_differential =
-  QCheck.Test.make ~name:"cache on/off runs are observably identical" ~count:40
-    arbitrary_program (fun src ->
-      match Minic.Driver.compile ~personality src with
-      | Error e -> QCheck.Test.fail_reportf "generated program does not compile: %s" e
-      | Ok img ->
-        (match Asc_core.Installer.install ~key ~personality ~program:"vt" img with
-         | Error e -> QCheck.Test.fail_reportf "install failed: %s" e
-         | Ok inst ->
-           let image = inst.Asc_core.Installer.image in
-           let k_off, p_off, stop_off, _ = run_image ~use_vcache:false image in
-           let k_on, p_on, stop_on, vcache = run_image ~use_vcache:true image in
-           let obs_off = observed k_off p_off stop_off in
-           let obs_on = observed k_on p_on stop_on in
-           if obs_off <> obs_on then
-             QCheck.Test.fail_reportf "cache-on run diverged from cache-off";
-           (match stop_off with
-            | Svm.Machine.Killed r -> QCheck.Test.fail_reportf "false alarm: %s" r
-            | _ -> ());
-           let vc = Option.get vcache in
-           let off = p_off.Process.machine.Svm.Machine.cycles in
-           let on = p_on.Process.machine.Svm.Machine.cycles in
-           if on > off then
-             QCheck.Test.fail_reportf "cache-on run cost more cycles (%d > %d)" on off;
-           off - on = Vcache.cycles_saved vc))
-
-(* ---- differential property: mutations deny identically ---- *)
-
-let fixed_victim =
-  lazy
-    (let src =
-       {|
-int main() {
-  int k;
-  for (k = 0; k < 3; k = k + 1) {
-    int fd = open("/tmp/f", 65, 420);
-    write(fd, "fuzzdata", 8);
-    close(fd);
-  }
-  puts_str("done\n");
-  return 0;
-}
-|}
-     in
-     let img = Minic.Driver.compile_exn ~personality src in
-     match Asc_core.Installer.install ~key ~personality ~program:"fuzz" img with
-     | Ok inst -> Svm.Obj_file.serialize inst.Asc_core.Installer.image
-     | Error e -> failwith e)
-
-let run_mutated ~use_vcache img =
-  let kernel = Kernel.create ~personality () in
-  let vcache =
-    if use_vcache then Some (Vcache.create ~registry:(Kernel.metrics kernel) ()) else None
-  in
-  Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ?vcache ()));
-  match Kernel.spawn kernel ~program:"mut" img with
-  | exception Invalid_argument _ -> None (* image refused before any code ran *)
-  | proc ->
-    let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
-    let steps =
-      List.filter_map
-        (function
-          | Kernel.Violation { violation = v; _ } -> Some (Violation.step_name v.Violation.v_step)
-          | _ -> None)
-        (Kernel.audit_log kernel)
-    in
-    Some (stop, Kernel.stdout_of proc, steps)
-
-let prop_mutation_deny_parity =
-  QCheck.Test.make ~name:"mutations trip identical verdicts cache on/off" ~count:200
-    QCheck.(pair small_nat (int_bound 255))
-    (fun (pos, byte) ->
-      let serialized = Lazy.force fixed_victim in
-      let b = Bytes.of_string serialized in
-      let pos = 8 + (pos * 131 mod (Bytes.length b - 8)) in
-      Bytes.set b pos (Char.chr byte);
-      match Svm.Obj_file.parse (Bytes.to_string b) with
-      | Error _ -> true (* corrupt image rejected at parse time *)
-      | Ok img ->
-        (match (run_mutated ~use_vcache:false img, run_mutated ~use_vcache:true img) with
-         | None, None -> true
-         | Some (Svm.Machine.Cycle_limit, _, _), Some _
-         | Some _, Some (Svm.Machine.Cycle_limit, _, _) ->
-           true (* a runaway loop hits the budget at different points *)
-         | Some a, Some b ->
-           if a = b then true
-           else QCheck.Test.fail_reportf "mutation verdict diverged cache on/off"
-         | Some _, None | None, Some _ ->
-           QCheck.Test.fail_reportf "image load diverged cache on/off"))
-
-let props =
-  List.map QCheck_alcotest.to_alcotest [ prop_differential; prop_mutation_deny_parity ]
+    (Fastpath.cycles p_on <= Fastpath.cycles p_off)
 
 let () =
   Alcotest.run "vcache"
@@ -345,9 +97,7 @@ let () =
           Alcotest.test_case "pid isolation on invalidate" `Quick test_pid_isolation;
           Alcotest.test_case "capacity validated" `Quick test_capacity_validated ] );
       ( "lifecycle",
-        [ Alcotest.test_case "execve flushes the pid" `Quick test_execve_invalidation;
-          Alcotest.test_case "teardown empties the cache" `Quick test_teardown_invalidation;
-          Alcotest.test_case "tiny capacity thrashes soundly" `Quick
-            test_tiny_capacity_still_sound;
-          Alcotest.test_case "hot loop savings accounted" `Quick test_hot_loop_accounting ] );
-      ("differential", props) ]
+        Fastpath.lifecycle_tests Fastpath.Vcache
+        @ [ Alcotest.test_case "tiny capacity thrashes soundly" `Quick
+              test_tiny_capacity_still_sound ] );
+      ("differential", Fastpath.props (Fastpath.Only Fastpath.Vcache)) ]
