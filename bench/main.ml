@@ -128,7 +128,6 @@ let () =
     | "telemetry" -> Tables.telemetry_gate ()
     | "ablation" ->
       Microbench.ablation_control_flow ();
-      Microbench.control_flow_step ();
       Microbench.ablation_userspace ();
       Tables.ablation_patterns ()
     | "bechamel" -> bechamel_run ()
@@ -143,7 +142,6 @@ let () =
       Tables.attacks ();
       Tables.telemetry_gate ();
       Microbench.ablation_control_flow ();
-      Microbench.control_flow_step ();
       Microbench.ablation_userspace ();
       Tables.ablation_patterns ()
     | other ->

@@ -287,12 +287,14 @@ let table4 () =
   Format.printf "%-16s %10d words/iter@." "alloc harness" (Lazy.force alloc_harness_words);
   let open Asc_obs.Json in
   let ints fields = Obj (List.map (fun (k, n) -> (k, Int n)) fields) in
-  (* every lookup is exactly one of a layer's hits, misses or fallbacks *)
-  let layer_json (layer, fields) =
+  (* every lookup is exactly one of a layer's hits, misses or fallbacks;
+     the shared site table counts rows, not lookups, and gets no rate *)
+  let layer_json (group, fields) =
     let n f = Option.value ~default:0 (List.assoc_opt f fields) in
     let lookups = n "hits" + n "misses" + n "fallbacks" in
-    let rate = if lookups = 0 then 0. else 100. *. float_of_int (n "hits") /. float_of_int lookups in
-    (layer, Obj (List.map (fun (k, v) -> (k, Int v)) fields @ [ ("hit_rate_pct", Float rate) ]))
+    let rate = 100. *. float_of_int (n "hits") /. float_of_int (max 1 lookups) in
+    let rate = if List.mem_assoc "hits" fields then [ ("hit_rate_pct", Float rate) ] else [] in
+    (group, Obj (List.map (fun (k, v) -> (k, Int v)) fields @ rate))
   in
   let config_json orig (cfg, m) =
     Obj
@@ -445,39 +447,6 @@ let ablation_control_flow () =
       Format.printf "%-16s %14d %16d %11.1f%%@." case.c_name full nocf
         (100. *. float_of_int (full - nocf) /. float_of_int full))
     cases
-
-(* Microbenchmark isolating the §3.4 control-flow step: per-call cycles and
-   minor words charged to checker.{cycles,alloc}.control_flow on the getpid
-   loop, in the three ways the step can execute — the full string-MAC slow
-   path (predecessor-set CMAC + two from-scratch lbMAC CMACs), the vcache
-   configuration (pred-set proof memoized, lbMACs still recomputed in
-   full), and the cfpre fast path (bitset load+test + single-AES lbMAC
-   chain steps against per-pid scratch). Each configuration must be
-   strictly cheaper than the previous, and the fast path's allocation must
-   sit within the per-pid-scratch budget. *)
-let control_flow_step () =
-  Format.printf "@.Microbench: the control-flow step in isolation (getpid, per call)@.";
-  Format.printf "%-38s %10s %10s@." "configuration" "cycles" "words";
-  let case = List.hd cases in
-  let row name config =
-    let _, kernel, _ = measure_run ~config:(config_named config) ~control_flow:true case in
-    let raw n = Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) n) in
-    let cyc = raw "checker.cycles.control_flow" / iterations in
-    let words = raw "checker.alloc.control_flow" / iterations in
-    Format.printf "%-38s %10d %10d@." name cyc words;
-    (cyc, words)
-  in
-  let slow, _ = row "string-MAC slow path" "auth" in
-  let vc, _ = row "vcache memo + full lbMAC recompute" "vcache" in
-  let fast, fast_words = row "bitset hit + single-block lbMAC chain" "full" in
-  if not (fast < vc && vc < slow) then
-    failwith
-      (Printf.sprintf
-         "control-flow step not strictly decreasing across configurations (%d, %d, %d)" slow
-         vc fast);
-  if fast_words > 16 then
-    failwith
-      (Printf.sprintf "control-flow fast path allocates %d words/call (budget 16)" fast_words)
 
 (* ablation: in-kernel ASC checking vs a user-space policy daemon that pays
    two context switches per checked call (§2.3's comparison) *)

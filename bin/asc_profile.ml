@@ -123,8 +123,9 @@ let run input key_hex os no_enforce stdin_text folded top_n sites alloc json out
     in
     let kernel = Kernel.create ~personality () in
     (match w with Some w -> w.Workloads.Registry.setup kernel | None -> ());
+    (* enforced runs profile the checker the other tools run *)
     if not no_enforce then
-      Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ()));
+      Kernel.set_monitor kernel (Some (Asc_core.Checker.deployment ~kernel ~key ()));
     let stdin =
       match (stdin_text, w) with
       | Some s, _ -> s

@@ -111,13 +111,13 @@ let run input os stdin_text summary format enforce key_hex =
     let* img, w = Common.load_program ~personality input in
     let kernel = Kernel.create ~personality () in
     (match w with Some w -> w.Workloads.Registry.setup kernel | None -> ());
-    (* --enforce: trace under the checker so the summary's deny-reason
-       counts (telemetry reason codes) are live *)
+    (* --enforce: trace under the deployment checker so the summary's
+       deny-reason counts (telemetry reason codes) are live *)
     let* img =
       if not enforce then Ok img
       else
         let* key = Common.key_of_hex key_hex in
-        Kernel.set_monitor kernel (Some (Asc_core.Checker.monitor ~kernel ~key ()));
+        Kernel.set_monitor kernel (Some (Asc_core.Checker.deployment ~kernel ~key ()));
         Common.install_if_compiled ~key ~personality ~input ~workload:w img
     in
     kernel.Kernel.tracing <- true;
@@ -176,9 +176,9 @@ let summary_arg =
 
 let enforce_arg =
   Arg.(value & flag & info [ "e"; "enforce" ]
-         ~doc:"Trace under the authenticated-system-call checker (compiled inputs are \
-               MAC-installed first); $(b,--format summary) then reports deny counts by \
-               telemetry reason code.")
+         ~doc:"Trace under the deployment authenticated-system-call checker (compiled \
+               inputs are MAC-installed first); $(b,--format summary) then reports deny \
+               counts by telemetry reason code.")
 
 let key_arg =
   Arg.(value & opt string "000102030405060708090a0b0c0d0e0f"

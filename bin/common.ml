@@ -62,11 +62,11 @@ let install_if_compiled ~key ~personality ~input ~workload img =
     | Ok inst -> Ok inst.Asc_core.Installer.image
     | Error e -> Error e
 
-(* The deployment checker's fast-path counters, as its layers publish them
-   in the kernel's metrics registry. *)
+(* The deployment checker's fast-path counters, as its layers and their
+   site table publish them in the kernel's metrics registry. *)
 let fast_path_stats kernel = Asc_core.Checker.fast_path_counters (Kernel.metrics kernel)
 
-(* One "[precomp: 1 compiles, ..., 12 hits, ...]" line per layer on stderr. *)
+(* One "[precomp: 1 compiles, ..., 12 hits, ...]" line per group on stderr. *)
 let print_fast_path_stats kernel =
   List.iter
     (fun (layer, fields) ->

@@ -5,35 +5,35 @@ module Cmac = Asc_crypto.Cmac
 (* A structured verification failure: which step of the pipeline refused
    the call, the human-readable detail, and — when the failure was a MAC
    comparison — hex prefixes of both sides, so the audit trail can show
-   *what* disagreed rather than only that something did. *)
+   *what* disagreed rather than only that something did. [f_cf] is how
+   step 3 had resolved when the deny was raised ([Cf_none] before it ran),
+   for the call's telemetry record. *)
 type fail = {
   f_step : Violation.step;
   f_reason : string;
   f_expected : string option;  (* hex prefix of the MAC the checker computed *)
   f_got : string option;       (* hex prefix of the MAC the process supplied *)
+  f_cf : Asc_obs.Telemetry.cf_reason;
 }
 
 exception Deny of fail
-
-let deny step fmt =
-  Format.kasprintf
-    (fun s -> raise (Deny { f_step = step; f_reason = s; f_expected = None; f_got = None }))
-    fmt
 
 let mac_prefix s =
   let n = min 8 (String.length s) in
   String.concat "" (List.init n (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
 
+let failure ?expected ?got step reason =
+  Deny
+    { f_step = step;
+      f_reason = reason;
+      f_expected = Option.map mac_prefix expected;
+      f_got = Option.map mac_prefix got;
+      f_cf = Asc_obs.Telemetry.Cf_none }
+
+let deny step fmt = Format.kasprintf (fun s -> raise (failure step s)) fmt
+
 let deny_mac step ~expected ~got fmt =
-  Format.kasprintf
-    (fun s ->
-      raise
-        (Deny
-           { f_step = step;
-             f_reason = s;
-             f_expected = Some (mac_prefix expected);
-             f_got = Some (mac_prefix got) }))
-    fmt
+  Format.kasprintf (fun s -> raise (failure ~expected ~got step s)) fmt
 
 (* Per-verification-step cycle attribution (§3.4 / Table 4): every cycle
    the checker charges to the machine is also credited to exactly one step
@@ -259,19 +259,19 @@ let parse_ext contents =
   in
   go 0 []
 
-let precomp_compile precomp ~pid ~call ~encoded ~mac =
-  match precomp with
-  | None -> ()
-  | Some pc -> Precomp.compile pc ~pid ~call ~encoded ~mac
+let precomp_compile precomp row ~call ~encoded ~mac =
+  match (precomp, row) with
+  | Some pc, Some row -> Precomp.compile pc row ~call ~encoded ~mac
+  | _ -> ()
 
 (* Step 3 slow path, byte-identical to the pre-cfpre checker: verify the
    predecessor-set authenticated string (vcache-aided), check the
    nonce-fresh lbMAC over the policy state, decide membership from the
    live set bytes, then advance the counter and rewrite lastBlock/lbMAC.
-   A top-level function (not a per-call closure) so the steady-state fast
-   path below allocates nothing for the code it skips. On full success the
-   site's bitset is compiled so the next trap is one load+test. *)
-let control_flow_slow ~m ~steps ~vcache ~cfpre ~key (p : Process.t) ~site
+   A top-level function (not a per-call closure) so the fast path below
+   allocates nothing for the code it skips. On full success the row's
+   bitset is compiled so the next trap is one load+test. *)
+let control_flow_slow ~m ~steps ~vcache ~cfpre ~key (p : Process.t) ~row
     ~(pred_ref : Encoded.as_ref) ~lbp ~block =
   let pred_contents =
     verify_as m steps Control_flow ~vcache ~pid:p.pid key pred_ref "predecessor set"
@@ -299,20 +299,79 @@ let control_flow_slow ~m ~steps ~vcache ~cfpre ~key (p : Process.t) ~site
   let new_mac = Cmac.mac key (Encoded.state_bytes ~counter:p.counter ~last_block:block) in
   if not (Machine.write_word m lbp block && Machine.write_mem m ~addr:(lbp + 8) new_mac)
   then deny Violation.Control_flow "policy state unwritable";
-  (* the whole step just succeeded from the live bytes: compile the
-     site's bitset so the next trap is one load+test *)
-  match cfpre with
-  | Some cf -> Cfpre.compile cf ~pid:p.pid ~site ~pred_ref ~contents:pred_contents
-  | None -> ()
+  match (cfpre, row) with
+  | Some cf, Some row -> Cfpre.compile cf row ~pred_ref ~contents:pred_contents
+  | _ -> ()
 
-let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p : Process.t)
-    ~site ~number =
+(* Step 3 bitset fast path: the live reference and the live guest bytes
+   equal the slow-path-verified ones (Cfpre.check just compared both), so
+   the set's string MAC would necessarily verify — the predecessor check
+   is one load+test in the compiled bitset. The lbMAC is still verified
+   and rewritten fresh on this very call (§3.4 nonce-freshness is
+   untouched); the pid's chain scratch and single-block CMAC only amortize
+   setup and allocation. *)
+let control_flow_fast ~m ~steps ~cf ~key (p : Process.t) (sc : Sitetab.scratch) preds ~lbp
+    ~block =
+  let len = String.length preds.Sitetab.p_contents in
+  charge m steps Control_flow (Cost_model.cfpre_hit_cost len);
+  if not (Machine.word_ok m lbp) then deny Violation.Control_flow "policy state unreadable";
+  let last_block = Machine.word_at m lbp in
+  if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.ps_read ~pos:0 ~len:16) then
+    deny Violation.Control_flow "policy state MAC unreadable";
+  charge m steps Control_flow Cost_model.lbmac_chain_cost;
+  Cfpre.state_into sc ~counter:p.counter ~last_block;
+  Cmac.mac_block_into key sc.ps_state ~dst:sc.ps_tag;
+  if not (Cmac.equal_tags_bytes sc.ps_tag sc.ps_read) then
+    deny_mac Violation.Control_flow ~expected:(Bytes.to_string sc.ps_tag)
+      ~got:(Bytes.to_string sc.ps_read) "policy state corrupted";
+  if not (Cfpre.member preds last_block) then
+    deny Violation.Control_flow
+      "control-flow violation: block %d may not follow block %d" block last_block;
+  (* update: counter++ in kernel space, lastBlock/lbMAC in the application *)
+  p.counter <- p.counter + 1;
+  charge m steps Control_flow Cost_model.lbmac_chain_cost;
+  Cfpre.state_into sc ~counter:p.counter ~last_block:block;
+  Cmac.mac_block_into key sc.ps_state ~dst:sc.ps_tag;
+  if
+    not
+      (Machine.word_ok m lbp
+       && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.ps_tag ~pos:0 ~len:16)
+  then deny Violation.Control_flow "policy state unwritable";
+  Machine.set_word m lbp block;
+  Cfpre.note_saved cf
+    (Cost_model.mac_cost len - Cost_model.cfpre_hit_cost len
+     + (2 * (Cost_model.mac_cost 16 - Cost_model.lbmac_chain_cost)))
+
+(* Step 3, returning how it resolved (a constant constructor: reporting it
+   allocates nothing). A deny raised here carries that resolution too, so
+   the call's telemetry record names it either way. *)
+let control_flow ~m ~steps ~vcache ~cfpre ~key p ~row ~pred_ref ~lbp ~block =
+  let verdict =
+    match (cfpre, row) with
+    | Some cf, Some row -> Cfpre.check cf ~m row ~pred_ref
+    | _ -> Cfpre.Fallback Asc_obs.Telemetry.Cf_none
+  in
+  let resolved = match verdict with Cfpre.Hit _ -> Asc_obs.Telemetry.Cf_hit | Cfpre.Fallback r -> r in
+  match
+    match (verdict, cfpre, row) with
+    | Cfpre.Hit preds, Some cf, Some row ->
+      control_flow_fast ~m ~steps ~cf ~key p row.scratch preds ~lbp ~block
+    | _ -> control_flow_slow ~m ~steps ~vcache ~cfpre ~key p ~row ~pred_ref ~lbp ~block
+  with
+  | () -> resolved
+  | exception Deny f -> raise (Deny { f with f_cf = resolved })
+
+(* One monitored call: the three §3.4 steps and the §5 checks. On success
+   it hands [finish] the call's step-1 and step-3 resolutions. *)
+let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~sites ~steps ~finish
+    (p : Process.t) ~site ~number =
   let m = p.machine in
   let r i = m.regs.(i) in
   (* --- step 1 (one alloc region): rebuild the encoded call and check the
-     call MAC. The region returns the rebuilt references the later steps
-     need, so their allocation is attributed here, where it happens. --- *)
-  let reason, block, string_args, ext, control =
+     call MAC. The region returns the rebuilt references and the site's
+     row, which the later steps need, so their allocation is attributed
+     here, where it happens. --- *)
+  let reason, string_args, ext, control, row =
     step_region m steps Call_mac (fun () ->
       charge m steps Call_mac Cost_model.check_fixed;
       let descriptor = r 7 in
@@ -346,11 +405,17 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
           e_control = control }
       in
       let supplied = read_mac m mac_ptr in
+      (* the trap's one site-table lookup, shared by steps 1 and 3 *)
+      let row =
+        match sites with
+        | Some tab -> Some (Sitetab.find tab ~pid:p.pid ~site)
+        | None -> None
+      in
       (* Step 1 resolution, reported as the call's telemetry reason code. The
          slow path (vcache probe, then full CMAC) is byte-identical to the
-         pre-fast-path checker; [fb] remembers why an armed precomp table
-         declined, so "the slow path verified it after a fallback" and "no
-         precomp was armed at all" stay distinguishable in the ledger. *)
+         pre-fast-path checker; [fb] remembers why an armed memo declined,
+         so "the slow path verified it after a fallback" and "no memo was
+         armed at all" stay distinguishable in the ledger. *)
       let slow_path ~fb =
         let encoded = Encoded.encode call in
         (* sound to cache: [encoded] is the call MAC's exact input — trap number,
@@ -359,7 +424,7 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
         let call_key = Vcache.Call { pid = p.pid; site; encoded } in
         if cache_hit vcache call_key ~mac:supplied then begin
           charge_hit m steps Call_mac vcache ~len:(String.length encoded);
-          precomp_compile precomp ~pid:p.pid ~call ~encoded ~mac:supplied;
+          precomp_compile precomp row ~call ~encoded ~mac:supplied;
           match fb with
           | Some f -> Asc_obs.Telemetry.Precomp_fallback f
           | None -> Asc_obs.Telemetry.Vcache_hit
@@ -370,34 +435,30 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
           if not (Cmac.equal_tags call_mac supplied) then
             deny_mac Violation.Call_mac ~expected:call_mac ~got:supplied "call MAC mismatch";
           cache_remember vcache call_key ~mac:supplied;
-          precomp_compile precomp ~pid:p.pid ~call ~encoded ~mac:supplied;
+          precomp_compile precomp row ~call ~encoded ~mac:supplied;
           match fb with
           | Some f -> Asc_obs.Telemetry.Precomp_fallback f
           | None -> Asc_obs.Telemetry.Slow_path
         end
       in
       let reason =
-        match precomp with
-        | None -> slow_path ~fb:None
-        | Some pc ->
-          (* Precompiled-site fast path (step 1 only): when the live call
-             and tag equal the site's memo, charge the precomp cost into the
-             same call-MAC counter and skip both the encoded-string
-             serialization and the vcache probe. Miss/Fallback charge nothing
-             here; the slow path above decides. *)
-          (match Precomp.check pc ~pid:p.pid ~call ~supplied with
+        match (precomp, row) with
+        | Some pc, Some row ->
+          (* Memo fast path (step 1 only): when the live call and tag equal
+             the row's memo, charge the precomp cost into the same call-MAC
+             counter and skip both the encoded-string serialization and the
+             vcache probe. A fallback charges nothing here; the slow path
+             above decides. *)
+          (match Precomp.check pc row ~call ~supplied with
            | Precomp.Hit { suffix_len; encoded_len } ->
              let cost = Cost_model.precomp_hit_cost suffix_len in
              charge m steps Call_mac cost;
              Precomp.note_saved pc (Cost_model.mac_cost encoded_len - cost);
              Asc_obs.Telemetry.Precomp_hit
-           | Precomp.Miss -> slow_path ~fb:(Some Asc_obs.Telemetry.F_no_entry)
-           | Precomp.Fallback Precomp.Statics_mismatch ->
-             slow_path ~fb:(Some Asc_obs.Telemetry.F_statics)
-           | Precomp.Fallback Precomp.Tag_mismatch ->
-             slow_path ~fb:(Some Asc_obs.Telemetry.F_tag))
+           | Precomp.Fallback f -> slow_path ~fb:(Some f))
+        | _ -> slow_path ~fb:None
       in
-      (reason, block, string_args, ext, control))
+      (reason, string_args, ext, control, row))
   in
   (* --- step 2: verify authenticated string contents --- *)
   let verified_strings =
@@ -418,152 +479,83 @@ let pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps (p
         Some (verify_as m steps Ext ~vcache ~pid:p.pid key ar "extension block"))
   in
   (* --- step 3: control-flow policy --- *)
-  (match control with
-   | None -> ()
-   | Some (pred_ref, lbp) ->
-     step_region m steps Control_flow (fun () ->
-       (* The predecessor set is content-stable (cacheable like any
-          authenticated string); the lbMAC below is nonce-fresh by design —
-          the kernel-held counter changes every call — and is never cached.
-          The match is deliberately flat (no intermediate option/tuple):
-          the hit branch's whole host-allocation budget is Cfpre.check's
-          probe plus one [read_word] option. *)
-       match cfpre with
-       | Some cf ->
-         (match Cfpre.check cf ~m ~pid:p.pid ~site ~pred_ref with
-          | Cfpre.Hit { entry; scratch = sc } ->
-            (* Bitset fast path: the live reference and the live guest bytes
-               equal the slow-path-verified ones (Cfpre.check just compared
-               both), so the set's string MAC would necessarily verify — the
-               predecessor check is one load+test in the compiled bitset. The
-               lbMAC is still verified and rewritten fresh on this very call
-               (§3.4 nonce-freshness is untouched); the per-pid chain scratch
-               and single-block CMAC only amortize setup and allocation. *)
-            cf_note := Asc_obs.Telemetry.Cf_hit;
-            let len = Cfpre.contents_length entry in
-            charge m steps Control_flow (Cost_model.cfpre_hit_cost len);
-            if not (Machine.word_ok m lbp) then
-              deny Violation.Control_flow "policy state unreadable";
-            let last_block = Machine.word_at m lbp in
-            if not (Machine.read_into m ~addr:(lbp + 8) ~buf:sc.Cfpre.ps_read ~pos:0 ~len:16)
-            then deny Violation.Control_flow "policy state MAC unreadable";
-            charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            Cfpre.state_into sc ~counter:p.counter ~last_block;
-            Cmac.mac_block_into key sc.Cfpre.ps_state ~dst:sc.Cfpre.ps_tag;
-            if not (Cmac.equal_tags_bytes sc.Cfpre.ps_tag sc.Cfpre.ps_read) then
-              deny_mac Violation.Control_flow
-                ~expected:(Bytes.to_string sc.Cfpre.ps_tag)
-                ~got:(Bytes.to_string sc.Cfpre.ps_read)
-                "policy state corrupted";
-            if not (Cfpre.member entry last_block) then
-              deny Violation.Control_flow
-                "control-flow violation: block %d may not follow block %d" block last_block;
-            (* update: counter++ in kernel space, lastBlock/lbMAC in the
-               application *)
-            p.counter <- p.counter + 1;
-            charge m steps Control_flow Cost_model.lbmac_chain_cost;
-            Cfpre.state_into sc ~counter:p.counter ~last_block:block;
-            Cmac.mac_block_into key sc.Cfpre.ps_state ~dst:sc.Cfpre.ps_tag;
-            if
-              not
-                (Machine.word_ok m lbp
-                 && Machine.write_from m ~addr:(lbp + 8) ~buf:sc.Cfpre.ps_tag ~pos:0 ~len:16)
-            then deny Violation.Control_flow "policy state unwritable";
-            Machine.set_word m lbp block;
-            Cfpre.note_saved cf
-              (Cost_model.mac_cost len - Cost_model.cfpre_hit_cost len
-               + (2 * (Cost_model.mac_cost 16 - Cost_model.lbmac_chain_cost)))
-          | declined ->
-            (match declined with
-             | Cfpre.Miss -> cf_note := Asc_obs.Telemetry.Cf_slow
-             | Cfpre.Fallback Cfpre.Ref_mismatch ->
-               cf_note := Asc_obs.Telemetry.Cf_fallback_ref
-             | Cfpre.Fallback Cfpre.Contents_mismatch ->
-               cf_note := Asc_obs.Telemetry.Cf_fallback_contents
-             | Cfpre.Hit _ -> ());
-            control_flow_slow ~m ~steps ~vcache ~cfpre ~key p ~site ~pred_ref ~lbp ~block)
-       | None -> control_flow_slow ~m ~steps ~vcache ~cfpre ~key p ~site ~pred_ref ~lbp ~block));
-  (* --- §5 extensions: allowed-value sets and argument patterns --- *)
-  (match ext_contents with
-   | None -> ()
-   | Some contents ->
-     step_region m steps Ext (fun () ->
-       List.iter
-         (fun (argi, e) ->
-           match e with
-           | `Set vs ->
-             if not (List.mem (r (argi + 1)) vs) then
-               deny Violation.Ext "argument %d value %d not in allowed set" argi (r (argi + 1))
-           | `Pattern pat ->
-             (match Machine.read_cstring m ~addr:(r (argi + 1)) ~max:4096 with
-              | None ->
-                deny Violation.Pattern "argument %d: unreadable string for pattern check" argi
-              | Some s ->
-                (match Patterns.compile pat with
-                 | Error e -> deny Violation.Pattern "argument %d: bad pattern (%s)" argi e
-                 | Ok cp ->
-                   charge m steps Ext (Patterns.match_cost cp s);
-                   if not (Patterns.matches cp s) then
-                     deny Violation.Pattern
-                       "argument %d: %S does not match pattern %S" argi s pat)))
-         (parse_ext contents)));
-  (* --- §5.4: in-kernel file name normalization --- *)
-  if normalize_paths then begin
-    match Personality.sem_of kernel.Kernel.pers number with
-    | None -> ()
-    | Some sem ->
-      let params = Array.of_list (Syscall_sig.params sem) in
-      List.iter
-        (fun (i, contents) ->
-          if i < Array.length params && params.(i) = Syscall_sig.P_path then begin
-            (* AS contents carry the NUL terminator; the pathname is the
-               prefix up to it *)
-            let path =
-              match String.index_opt contents '\000' with
-              | Some cut -> String.sub contents 0 cut
-              | None -> contents
-            in
-            match Vfs.normalize kernel.Kernel.vfs ~cwd:p.cwd path with
-            | Ok canon when canon <> path ->
-              deny Violation.Normalization
-                "path %S normalizes to %S (possible symlink attack)" path canon
-            | Ok _ | Error _ -> ()
-          end)
-        verified_strings
-  end;
-  reason
+  let cf =
+    match control with
+    | None -> Asc_obs.Telemetry.Cf_none
+    | Some (pred_ref, lbp) ->
+      (* r8 still holds the block id step 1 rebuilt the call with *)
+      let block = r 8 in
+      step_region m steps Control_flow (fun () ->
+        control_flow ~m ~steps ~vcache ~cfpre ~key p ~row ~pred_ref ~lbp ~block)
+  in
+  match
+    (* --- §5 extensions: allowed-value sets and argument patterns --- *)
+    (match ext_contents with
+     | None -> ()
+     | Some contents ->
+       step_region m steps Ext (fun () ->
+         List.iter
+           (fun (argi, e) ->
+             match e with
+             | `Set vs ->
+               if not (List.mem (r (argi + 1)) vs) then
+                 deny Violation.Ext "argument %d value %d not in allowed set" argi (r (argi + 1))
+             | `Pattern pat ->
+               (match Machine.read_cstring m ~addr:(r (argi + 1)) ~max:4096 with
+                | None ->
+                  deny Violation.Pattern "argument %d: unreadable string for pattern check" argi
+                | Some s ->
+                  (match Patterns.compile pat with
+                   | Error e -> deny Violation.Pattern "argument %d: bad pattern (%s)" argi e
+                   | Ok cp ->
+                     charge m steps Ext (Patterns.match_cost cp s);
+                     if not (Patterns.matches cp s) then
+                       deny Violation.Pattern
+                         "argument %d: %S does not match pattern %S" argi s pat)))
+           (parse_ext contents)));
+    (* --- §5.4: in-kernel file name normalization --- *)
+    if normalize_paths then begin
+      match Personality.sem_of kernel.Kernel.pers number with
+      | None -> ()
+      | Some sem ->
+        let params = Array.of_list (Syscall_sig.params sem) in
+        List.iter
+          (fun (i, contents) ->
+            if i < Array.length params && params.(i) = Syscall_sig.P_path then begin
+              (* AS contents carry the NUL terminator; the pathname is the
+                 prefix up to it *)
+              let path =
+                match String.index_opt contents '\000' with
+                | Some cut -> String.sub contents 0 cut
+                | None -> contents
+              in
+              match Vfs.normalize kernel.Kernel.vfs ~cwd:p.cwd path with
+              | Ok canon when canon <> path ->
+                deny Violation.Normalization
+                  "path %S normalizes to %S (possible symlink attack)" path canon
+              | Ok _ | Error _ -> ()
+            end)
+          verified_strings
+    end
+  with
+  | () -> finish reason cf
+  | exception Deny f -> raise (Deny { f with f_cf = cf })
 
 let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
   let steps = steps_of kernel.Kernel.obs in
-  (* lifecycle invalidation: execve replaces the image the cached
-     verifications were performed against, and teardown frees the pid for
-     reuse — both drop every entry the pid owns *)
-  (match vcache with
-   | Some vc ->
-     Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn _ -> () (* a fresh pid was already invalidated at exit *)
-       | Kernel.Proc_exec { pid } | Kernel.Proc_exit { pid } -> Vcache.invalidate_pid vc pid)
-   | None -> ());
-  (* the precompiled-site table is (re)built whenever a pid's image is
-     established — spawn and execve — and dropped at teardown *)
-  (match precomp with
-   | Some pc ->
-     Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn { pid } | Kernel.Proc_exec { pid } -> Precomp.prepare_pid pc pid
-       | Kernel.Proc_exit { pid } -> Precomp.invalidate_pid pc pid)
-   | None -> ());
-  (* the control-flow bitset table shares Precomp's lifecycle: entries are
-     image-specific, so exec rebuilds the pid's table and teardown drops it *)
-  (match cfpre with
-   | Some cf ->
-     Kernel.add_lifecycle_hook kernel (function
-       | Kernel.Proc_spawn { pid } | Kernel.Proc_exec { pid } -> Cfpre.prepare_pid cf pid
-       | Kernel.Proc_exit { pid } -> Cfpre.invalidate_pid cf pid)
-   | None -> ());
-  (* one cell for the whole monitor (single-threaded kernel): reset per
-     call, read by [finish] on the allow and deny paths alike — so the
-     fast path allocates nothing to report its resolution *)
-  let cf_note = ref Asc_obs.Telemetry.Cf_none in
+  (* the one per-(pid, site) table the step-1 memo and the step-3 bitsets
+     share, armed with either *)
+  let sites =
+    if Option.is_none precomp && Option.is_none cfpre then None
+    else Some (Sitetab.create ~registry:kernel.Kernel.obs ())
+  in
+  (* execve replaces the image the cached verifications and compiled rows
+     were derived from, and teardown ends the pid: both drop everything the
+     pid owns *)
+  Kernel.add_lifecycle_hook kernel (function
+    | Kernel.Proc_exec { pid } | Kernel.Proc_exit { pid } ->
+      Option.iter (fun vc -> Vcache.invalidate_pid vc pid) vcache;
+      Option.iter (fun tab -> Sitetab.drop_pid tab pid) sites);
   let telemetry = Kernel.telemetry kernel in
   { Kernel.monitor_name = "asc-checker";
     pre_syscall =
@@ -582,7 +574,7 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
            allocated, while the plane's own recording allocation is
            measured separately into checker.alloc.telemetry. *)
         let telemetry_frame = Asc_obs.Profile.Label "<kernel:telemetry>" in
-        let finish reason =
+        let finish reason cf =
           let cycles = Asc_obs.Metrics.counter_value steps.st_total - total0 in
           let alloc = Asc_obs.Profile.minor_words () - alloc0 in
           m.Machine.cycles <- m.Machine.cycles + Cost_model.telemetry_record_cost;
@@ -599,7 +591,7 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
             | Some s -> Syscall.name s
             | None -> Printf.sprintf "syscall#%d" number
           in
-          Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ~cf:!cf_note ~cycles
+          Asc_obs.Telemetry.record telemetry shard ~site ~sem ~reason ~cf ~cycles
             ~alloc ~now:m.Machine.cycles;
           let td = Asc_obs.Profile.minor_words () - ta0 in
           if td > 0 then Asc_obs.Metrics.add steps.sa_telemetry td;
@@ -607,17 +599,15 @@ let monitor ~kernel ~key ?(normalize_paths = false) ?vcache ?precomp ?cfpre () =
           | Some prof -> Asc_obs.Profile.leave prof
           | None -> ()
         in
-        cf_note := Asc_obs.Telemetry.Cf_none;
         match
-          pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~cf_note ~steps p ~site
-            ~number
+          pre ~kernel ~key ~normalize_paths ~vcache ~precomp ~cfpre ~sites ~steps ~finish p
+            ~site ~number
         with
-        | reason ->
-          finish reason;
+        | () ->
           Asc_obs.Metrics.inc steps.st_checked;
           Kernel.Allow
         | exception Deny f ->
-          finish (Asc_obs.Telemetry.Deny (Violation.step_name f.f_step));
+          finish (Asc_obs.Telemetry.Deny (Violation.step_name f.f_step)) f.f_cf;
           Kernel.Deny_violation
             { Violation.v_step = f.f_step;
               v_site = site;
@@ -645,8 +635,8 @@ let layer_name = function Vcache -> "vcache" | Precomp -> "precomp" | Cfpre -> "
 let fast_path_counters registry =
   let names = Asc_obs.Metrics.names registry in
   List.filter_map
-    (fun layer ->
-      let prefix = layer_name layer ^ "." in
+    (fun group ->
+      let prefix = group ^ "." in
       let field name =
         if String.starts_with ~prefix name then
           Option.map
@@ -656,5 +646,5 @@ let fast_path_counters registry =
       in
       match List.filter_map field names with
       | [] -> None
-      | fields -> Some (layer_name layer, fields))
-    [ Vcache; Precomp; Cfpre ]
+      | fields -> Some (group, fields))
+    (List.map layer_name [ Vcache; Precomp; Cfpre ] @ [ "sitetab" ])

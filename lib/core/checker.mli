@@ -57,27 +57,28 @@ val monitor :
     misses — including every tampered descriptor, string or tag, whose
     key cannot match — take the unchanged slow path to the same
     structured deny. The nonce-fresh control-flow [lbMAC] is always
-    verified. The monitor registers a kernel lifecycle hook that
-    invalidates the pid's entries on [execve] and process teardown.
-    Default: no cache (every check recomputes, the pre-cache behavior).
+    verified. Default: no cache (every check recomputes, the pre-cache
+    behavior).
 
-    [precomp] attaches a precompiled-site table ({!Precomp}), the fast
-    path {e in front of} step 1: per-pid tables are (re)built on
-    [Proc_spawn]/[Proc_exec] and dropped on [Proc_exit] (via lifecycle
-    hooks), a site's entry is compiled from its first successful
-    slow-path verification, and later traps that equal the memo are
-    charged [Svm.Cost_model.precomp_hit_cost] on the call-MAC counter
-    without serializing the encoded call at all. Misses and mismatches
-    charge nothing and run the unchanged slow path (composing with
-    [vcache]), so denies are byte-identical with the table on or off.
-    Default: no table.
+    [precomp] attaches the call memo ({!Precomp}), the fast path {e in
+    front of} step 1: a site's memo is compiled from its first successful
+    slow-path verification, and later traps that equal it are charged
+    [Svm.Cost_model.precomp_hit_cost] on the call-MAC counter without
+    serializing the encoded call at all. Misses and mismatches charge
+    nothing and run the unchanged slow path (composing with [vcache]), so
+    denies are byte-identical with the memo on or off. Default: none.
 
-    [cfpre] attaches the control-flow bitset table ({!Cfpre}): a site
-    whose live predecessor-set reference and bytes equal the
-    slow-path-verified ones decides the predecessor check with one
-    load+test and updates the lbMAC with single-block CMACs against
-    per-pid scratch; anything else takes the unchanged slow path. Same
-    lifecycle hooks as [precomp]. Default: no table.
+    [cfpre] attaches the control-flow bitsets ({!Cfpre}): a site whose
+    live predecessor-set reference and bytes equal the slow-path-verified
+    ones decides the predecessor check with one load+test and updates the
+    lbMAC with single-block CMACs against per-pid scratch; anything else
+    takes the unchanged slow path. Default: none.
+
+    With either of [precomp] and [cfpre] armed, the monitor keeps one
+    {!Sitetab} (publishing [sitetab.*] in [kernel]'s registry): each trap
+    looks its (pid, site) row up once and hands it to steps 1 and 3. The
+    monitor registers one kernel lifecycle hook, which on [execve] and
+    process teardown drops the pid's vcache entries and rows.
 
     Tools run {!deployment}; the layers are separately optional so that
     tests and the table4 ablation can compare each against the slow
@@ -90,9 +91,9 @@ val deployment :
   unit ->
   Oskernel.Kernel.monitor
 (** The one configuration the tools run: {!monitor} with a {!Vcache} of
-    default capacity, a {!Precomp} table and a {!Cfpre} table all armed,
-    each publishing its counters in [kernel]'s metrics registry
-    ([vcache.*], [precomp.*], [cfpre.*]). *)
+    default capacity, the {!Precomp} memo and the {!Cfpre} bitsets all
+    armed, publishing their counters and the site table's in [kernel]'s
+    metrics registry ([vcache.*], [precomp.*], [cfpre.*], [sitetab.*]). *)
 
 (** The fast-path layers, in the order they stack on the slow path. *)
 type layer =
@@ -106,10 +107,10 @@ val layer_name : layer -> string
 
 val fast_path_counters : Asc_obs.Metrics.registry -> (string * (string * int) list) list
 (** Every counter and gauge the armed layers publish in [registry],
-    grouped by layer in stacking order, as [(layer_name, [(field,
-    value); ...])] with fields sorted by name ([hits] for
-    [vcache.hits]). A layer that was not armed registered nothing and is
-    absent. *)
+    grouped by layer in stacking order and then the ["sitetab"] group of
+    their shared table, as [(group, [(field, value); ...])] with fields
+    sorted by name ([hits] for [vcache.hits]). A group that nothing
+    registered is absent. *)
 
 (** {1 Fault injection} — regression-attribution test support. *)
 

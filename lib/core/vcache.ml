@@ -31,11 +31,6 @@ type t = {
   tbl : (entry, node) Hashtbl.t;
   mutable head : node option;
   mutable tail : node option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
-  mutable saved : int;
   ctr_hits : Asc_obs.Metrics.counter;
   ctr_misses : Asc_obs.Metrics.counter;
   ctr_evictions : Asc_obs.Metrics.counter;
@@ -50,11 +45,6 @@ let create ?(capacity = 1024) ~registry () =
     tbl = Hashtbl.create (min capacity 1024);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    invalidations = 0;
-    saved = 0;
     ctr_hits = Asc_obs.Metrics.counter registry "vcache.hits" ~help:"verified-MAC cache hits";
     ctr_misses = Asc_obs.Metrics.counter registry "vcache.misses";
     ctr_evictions = Asc_obs.Metrics.counter registry "vcache.evictions";
@@ -65,14 +55,6 @@ let create ?(capacity = 1024) ~registry () =
     g_saved =
       Asc_obs.Metrics.gauge registry "vcache.cycles_saved"
         ~help:"modeled CMAC cycles skipped by cache hits" }
-
-let capacity t = t.capacity
-let size t = Hashtbl.length t.tbl
-let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions
-let invalidations t = t.invalidations
-let cycles_saved t = t.saved
 
 let unlink t n =
   (match n.n_prev with Some p -> p.n_next <- n.n_next | None -> t.head <- n.n_next);
@@ -92,11 +74,9 @@ let check t key ~mac =
   | Some n ->
     unlink t n;
     push_front t n;
-    t.hits <- t.hits + 1;
     Asc_obs.Metrics.inc t.ctr_hits;
     true
   | None ->
-    t.misses <- t.misses + 1;
     Asc_obs.Metrics.inc t.ctr_misses;
     false
 
@@ -108,7 +88,6 @@ let remember t key ~mac =
       | Some lru ->
         unlink t lru;
         Hashtbl.remove t.tbl lru.n_entry;
-        t.evictions <- t.evictions + 1;
         Asc_obs.Metrics.inc t.ctr_evictions
       | None -> ()
     end;
@@ -118,9 +97,7 @@ let remember t key ~mac =
     set_size t
   end
 
-let note_saved t n =
-  t.saved <- t.saved + n;
-  Asc_obs.Metrics.set t.g_saved t.saved
+let note_saved t n = Asc_obs.Metrics.set t.g_saved (Asc_obs.Metrics.gauge_value t.g_saved + n)
 
 let pid_of = function
   | Call { pid; _ } -> pid
@@ -136,16 +113,6 @@ let invalidate_pid t pid =
     (fun (e, n) ->
       unlink t n;
       Hashtbl.remove t.tbl e;
-      t.invalidations <- t.invalidations + 1;
       Asc_obs.Metrics.inc t.ctr_invalidations)
     doomed;
-  set_size t
-
-let clear t =
-  let n = Hashtbl.length t.tbl in
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.invalidations <- t.invalidations + n;
-  Asc_obs.Metrics.add t.ctr_invalidations n;
   set_size t

@@ -24,9 +24,9 @@
 
     The [pid] in both key forms is not needed for MAC soundness (the tag
     does not depend on it) but provides lifecycle isolation: entries are
-    invalidated wholesale on [execve] and on process teardown, so a
-    recycled pid can never observe another image's warm cache
-    ({!invalidate_pid}, driven by [Oskernel.Kernel] lifecycle hooks).
+    invalidated wholesale on [execve], so a new image never observes its
+    predecessor's warm cache, and on process teardown
+    ({!invalidate_pid}, driven by the checker's lifecycle hook).
 
     Only successful verifications are remembered. Hit/miss/eviction
     counters, a size gauge and a cycles-saved gauge are published into the
@@ -63,18 +63,4 @@ val note_saved : t -> int -> unit
 
 val invalidate_pid : t -> int -> unit
 (** Drop every entry owned by [pid] — called on [execve] (the image the
-    entries were verified against is gone) and on process teardown (the
-    pid may be reused). *)
-
-val clear : t -> unit
-(** Drop everything (counted as invalidations). *)
-
-val capacity : t -> int
-val size : t -> int
-val hits : t -> int
-val misses : t -> int
-val evictions : t -> int
-val invalidations : t -> int
-
-val cycles_saved : t -> int
-(** Total modeled cycles skipped by hits, per {!note_saved}. *)
+    entries were verified against is gone) and on process teardown. *)

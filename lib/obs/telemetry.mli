@@ -26,8 +26,8 @@
 (** Why a precompiled-site table consulted on the trap did not decide the
     call (the slow path — vcache or full CMAC — then verified it). *)
 type fallback =
-  | F_no_entry  (** no compiled entry for the site (first visit, or past
-                    the [max_sites] bound) *)
+  | F_no_entry  (** no compiled memo for the site (first visit, or past
+                    the site table's bound) *)
   | F_statics   (** a structural field changed: number, descriptor, block
                     id or argument shape *)
   | F_tag       (** a dynamic field or the supplied tag differs from the

@@ -29,12 +29,11 @@ let compose_monitors name monitors =
       (fun p ~site ~sem ~result ->
         List.iter (fun m -> m.post_syscall p ~site ~sem ~result) monitors) }
 
-(* Process lifecycle notifications for caches keyed by pid: spawn and
-   execve (re)establish which image a pid runs — per-pid tables are
-   (re)built there — and teardown frees the pid for reuse, so per-pid
-   state must be dropped. *)
+(* Process lifecycle notifications for caches keyed by pid: execve
+   replaces the image a pid's cached facts were derived from, and
+   teardown ends the pid (pids are never reused), so per-pid state must
+   be dropped at both. *)
 type lifecycle =
-  | Proc_spawn of { pid : int }
   | Proc_exec of { pid : int }
   | Proc_exit of { pid : int }
 
@@ -276,7 +275,6 @@ let spawn t ?(stdin = "") ?(libs = []) ~program img =
   Asc_obs.Trace.name_track t.spans ~track:pid program;
   let proc = Process.create ~pid ~program ~machine ~heap_start in
   proc.Process.stdin <- stdin;
-  lifecycle_event t (Proc_spawn { pid });
   proc
 
 let spawn_path t ?(stdin = "") path =
@@ -849,7 +847,7 @@ let run t (p : Process.t) ~max_cycles =
    | Machine.Halted _ | Machine.Killed _ | Machine.Faulted _ ->
      lifecycle_event t (Proc_exit { pid = p.pid });
      (* fold the pid's live shard into the retired aggregate: counts stay
-        visible in fleet aggregation, and a reused pid starts clean *)
+        visible in fleet aggregation *)
      Asc_obs.Telemetry.retire_pid t.telemetry ~pid:p.pid
    | Machine.Cycle_limit -> ());
   stop

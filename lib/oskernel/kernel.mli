@@ -36,15 +36,11 @@ val no_post : Process.t -> site:int -> sem:Syscall.sem option -> result:int -> u
 
 (** Process lifecycle notifications, delivered to {!add_lifecycle_hook}
     subscribers. Monitors that keep per-pid state subscribe here:
-    [Proc_spawn] fires from {!spawn} once the image is loaded and the pid
-    assigned — the point where exec-time per-pid tables (the checker's
-    precompiled-policy table) are created; [Proc_exec] fires after
-    [execve] replaced the image any cached facts were derived from;
-    [Proc_exit] fires when {!run} ends in a terminal stop (halt, kill or
-    fault — not a resumable cycle-limit stop), after which the pid could
-    in principle be reused. *)
+    [Proc_exec] fires after [execve] replaced the image any cached facts
+    were derived from; [Proc_exit] fires when {!run} ends in a terminal
+    stop (halt, kill or fault — not a resumable cycle-limit stop). Pids
+    are never reused, so a pid's state needs no setup at spawn. *)
 type lifecycle =
-  | Proc_spawn of { pid : int }
   | Proc_exec of { pid : int }
   | Proc_exit of { pid : int }
 
@@ -167,8 +163,8 @@ val set_monitor : t -> monitor option -> unit
 
 val add_lifecycle_hook : t -> (lifecycle -> unit) -> unit
 (** Subscribe to {!lifecycle} events; hooks run in subscription order,
-    synchronously, from {!spawn} ([Proc_spawn]), from [execve] dispatch
-    ([Proc_exec]) and from the tail of {!run} ([Proc_exit]). *)
+    synchronously, from [execve] dispatch ([Proc_exec]) and from the tail
+    of {!run} ([Proc_exit]). *)
 
 val set_authlog : t -> Asc_obs.Authlog.t option -> unit
 (** Attach (or detach) a tamper-evident audit chain. While attached, every

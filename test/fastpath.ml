@@ -1,8 +1,9 @@
-(* Shared harness for the fast-path layer suites (test_vcache, test_precomp,
-   test_cfpre). Each layer is a pure accelerator: a run with the layer armed
-   alone must be observably identical to a slow-path run — exit status,
-   stdout, syscall trace, audit verdicts — and the modeled cycles it saves
-   must be exactly its [<layer>.cycles_saved] gauge. The lifecycle tests
+(* Shared harness for the fast-path suites (test_vcache, test_precomp,
+   test_cfpre, test_sitetab, test_deployment). Each layer is a pure
+   accelerator: a run with the layer armed alone must be observably
+   identical to a slow-path run — exit status, stdout, syscall trace, audit
+   verdicts — and the modeled cycles it saves must be exactly its
+   [<layer>.cycles_saved] gauge. The lifecycle tests
    take the layer as their parameter; the two differential properties take
    a configuration: one layer alone, or the deployment stack (all three
    armed, saving exactly the sum of the three gauges). *)
@@ -58,9 +59,50 @@ let run_image ?config ?capacity ?(setup = fun _ -> ()) image =
   let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
   (kernel, proc, stop)
 
+(* a counter or gauge in [registry], by full name *)
+let count registry name = Option.value ~default:0 (Asc_obs.Metrics.value registry name)
+
 (* one of the layer's published counters or gauges *)
-let metric kernel layer field =
-  Option.value ~default:0 (Asc_obs.Metrics.value (Kernel.metrics kernel) (name layer ^ "." ^ field))
+let metric kernel layer field = count (Kernel.metrics kernel) (name layer ^ "." ^ field)
+
+(* the [size] or [invalidations] of where the layer keeps its entries: the
+   vcache's own LRU, or the site table the memo and the bitsets share *)
+let entries kernel layer field =
+  count (Kernel.metrics kernel) ((match layer with Vcache -> "vcache." | _ -> "sitetab.") ^ field)
+
+(* For the unit suites: a site table, the memo and the bitsets that compile
+   into its rows, all publishing in one fresh registry. *)
+type table = {
+  tab : Asc_core.Sitetab.t;
+  pc : Asc_core.Precomp.t;
+  cf : Asc_core.Cfpre.t;
+  registry : Asc_obs.Metrics.registry;
+}
+
+let table () =
+  let registry = Asc_obs.Metrics.create () in
+  { tab = Asc_core.Sitetab.create ~registry ();
+    pc = Asc_core.Precomp.create ~key ~registry ();
+    cf = Asc_core.Cfpre.create ~registry ();
+    registry }
+
+(* a call at [site] with one constrained numeric argument *)
+let const_call ?(site = 0x40) ?(block = 7) ?(cval = 42) () =
+  { Asc_core.Encoded.e_number = 20; e_site = site;
+    e_descriptor = Asc_core.Descriptor.(with_const_arg empty 1); e_block = block;
+    e_const_args = [ (1, cval) ]; e_string_args = []; e_ext = None; e_control = None }
+
+(* a machine holding the predecessor set [ids] at [addr], and its verified
+   reference *)
+let predset ?(addr = 0x100) ids =
+  let m = Svm.Machine.create ~mem_size:4096 in
+  let contents = Asc_core.Encoded.predset_contents ids in
+  assert (Svm.Machine.write_mem m ~addr contents);
+  let r =
+    { Asc_core.Encoded.as_addr = addr; as_len = String.length contents;
+      as_mac = Cmac.mac key contents }
+  in
+  (m, r, contents)
 
 (* the modeled cycles the configuration's layers report saving *)
 let cycles_saved kernel = function
@@ -100,7 +142,7 @@ int main() {
    | _ -> Alcotest.fail "execve chain did not reach B's exit");
   Alcotest.(check bool) "the loop hit the layer" true (metric kernel layer "hits" > 0);
   Alcotest.(check bool) "exec dropped the pid's entries" true
-    (metric kernel layer "invalidations" > 0)
+    (entries kernel layer "invalidations" > 0)
 
 let test_teardown_invalidation layer () =
   (* process exit drops the pid's entries, so a later process that happens
@@ -114,7 +156,7 @@ let test_teardown_invalidation layer () =
    | Svm.Machine.Halted 0 -> ()
    | _ -> Alcotest.fail "run did not halt cleanly");
   Alcotest.(check bool) "the run populated the layer" true (metric kernel layer "hits" > 0);
-  Alcotest.(check int) "teardown left it empty" 0 (metric kernel layer "size")
+  Alcotest.(check int) "teardown left it empty" 0 (entries kernel layer "size")
 
 let test_hot_loop_accounting layer () =
   (* with one layer armed, it is the only divergence from the slow path —
@@ -280,13 +322,19 @@ let mutation_reads_clock img =
       || Bytes.sub (text_bytes img) pos size <> Bytes.sub victim pos size)
     (clock_reads (text_bytes img))
 
+(* Cycles a mutant may run. Of all 25,600 inputs the property can draw,
+   the slowest that stops on its own faults after 188,428,605 cycles (the
+   victim halts after 64,386), so a lower budget would stop comparing it;
+   39 mutants still run at 200M. *)
+let mutant_budget = 200_000_000
+
 let run_mutated ?config img =
   let kernel = Kernel.create ~personality () in
   Kernel.set_monitor kernel (Some (monitor ?config kernel));
   match Kernel.spawn kernel ~program:"mut" img with
   | exception Invalid_argument _ -> None (* image refused before any code ran *)
   | proc ->
-    let stop = Kernel.run kernel proc ~max_cycles:200_000_000 in
+    let stop = Kernel.run kernel proc ~max_cycles:mutant_budget in
     let steps =
       List.filter_map
         (function

@@ -1,56 +1,52 @@
-(* The precompiled control-flow table (Asc_core.Cfpre).
+(* The precompiled control-flow bitsets (Asc_core.Cfpre).
 
-   Like the vcache and the precompiled-site table, the bitset table is a
-   pure accelerator: its fast path may only decide a predecessor check
-   whose live reference AND live guest bytes equal the slow-path-verified
-   ones, never change a verdict. The unit tests pin the verdict lattice
-   (miss / hit / ref fallback / contents fallback), the base-offset bitset
-   against globally-unique block ids (program id in the high bits), the
-   span bound, the single-block CMAC chain step against the one-shot MAC,
-   and the per-pid lifecycle; the lifecycle and differential tests come
-   from the shared {!Fastpath} harness. *)
+   Like the vcache and the call memo, the bitsets are a pure accelerator:
+   their fast path may only decide a predecessor check whose live
+   reference AND live guest bytes equal the slow-path-verified ones, never
+   change a verdict. The unit tests pin the verdict lattice (miss / hit /
+   ref fallback / contents fallback), the base-offset bitset against
+   globally-unique block ids (program id in the high bits) and the
+   single-block CMAC chain step against the one-shot MAC; the rows'
+   lifecycle and bounds are test_sitetab's, and the lifecycle and
+   differential tests come from the shared {!Fastpath} harness. *)
 
 module Cmac = Asc_crypto.Cmac
 module Encoded = Asc_core.Encoded
 module Cfpre = Asc_core.Cfpre
+module Sitetab = Asc_core.Sitetab
 module Machine = Svm.Machine
 
-let key = Cmac.of_raw "cfpre-test-key!!"
+let key = Fastpath.key
 
-(* ---- unit tests on the table proper ---- *)
+(* ---- unit tests on the bitsets proper ---- *)
 
-let create ?max_sites ?block_limit () =
-  Cfpre.create ?max_sites ?block_limit ~registry:(Asc_obs.Metrics.create ()) ()
+let counter (t : Fastpath.table) name = Fastpath.count t.registry ("cfpre." ^ name)
 
-(* a machine holding one predecessor set at [addr], plus the matching
-   verified reference *)
-let machine_with_set ~addr ids =
-  let m = Machine.create ~mem_size:4096 in
-  let contents = Encoded.predset_contents ids in
-  assert (Machine.write_mem m ~addr contents);
-  let r =
-    { Encoded.as_addr = addr; as_len = String.length contents; as_mac = Cmac.mac key contents }
-  in
-  (m, r, contents)
+let compile (t : Fastpath.table) ~pid ~site ~pred_ref ~contents =
+  Cfpre.compile t.cf (Sitetab.find t.tab ~pid ~site) ~pred_ref ~contents
+
+let check (t : Fastpath.table) ~m ~pid ~site ~pred_ref =
+  Cfpre.check t.cf ~m (Sitetab.find t.tab ~pid ~site) ~pred_ref
 
 let verdict_name = function
-  | Cfpre.Miss -> "Miss"
   | Cfpre.Hit _ -> "Hit"
-  | Cfpre.Fallback Cfpre.Ref_mismatch -> "Fallback(ref)"
-  | Cfpre.Fallback Cfpre.Contents_mismatch -> "Fallback(contents)"
+  | Cfpre.Fallback r -> Asc_obs.Telemetry.cf_label r
 
 let check_is what expected t ~m ~pid ~site ~pred_ref =
-  let got = verdict_name (Cfpre.check t ~m ~pid ~site ~pred_ref) in
+  let got = verdict_name (check t ~m ~pid ~site ~pred_ref) in
   Alcotest.(check string) what expected got
 
 let test_compile_and_hit () =
-  let t = create () in
-  let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7; 9 ] in
-  check_is "cold table misses" "Miss" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Alcotest.(check int) "one entry" 1 (Cfpre.size t);
-  (match Cfpre.check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
-   | Cfpre.Hit { entry; _ } ->
+  let t = Fastpath.table () in
+  let m, r, contents = Fastpath.predset ~addr:0x100 [ 3; 7; 9 ] in
+  check_is "cold row misses" "cf_slow" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
+  compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Alcotest.(check int) "one compile" 1 (counter t "compiles");
+  let _, r2, contents2 = Fastpath.predset ~addr:0x100 [ 4 ] in
+  compile t ~pid:1 ~site:0x40 ~pred_ref:r2 ~contents:contents2;
+  Alcotest.(check int) "first writer wins" 1 (counter t "compiles");
+  (match check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
+   | Cfpre.Hit entry ->
      (* the bitset decides exactly what predset_mem decides *)
      for b = 0 to 16 do
        Alcotest.(check bool)
@@ -58,9 +54,9 @@ let test_compile_and_hit () =
          (Encoded.predset_mem contents b) (Cfpre.member entry b)
      done
    | v -> Alcotest.failf "expected Hit, got %s" (verdict_name v));
-  Alcotest.(check int) "hit counted" 1 (Cfpre.hits t);
-  check_is "other site misses" "Miss" t ~m ~pid:1 ~site:0x44 ~pred_ref:r;
-  check_is "other pid misses" "Miss" t ~m ~pid:2 ~site:0x40 ~pred_ref:r
+  Alcotest.(check int) "hit counted" 1 (counter t "hits");
+  check_is "other site misses" "cf_slow" t ~m ~pid:1 ~site:0x44 ~pred_ref:r;
+  check_is "other pid misses" "cf_slow" t ~m ~pid:2 ~site:0x40 ~pred_ref:r
 
 let test_globally_unique_ids () =
   (* block ids carry the program id in the high bits (program_id lsl 20 lor
@@ -68,12 +64,12 @@ let test_globally_unique_ids () =
      is offset from the set's smallest id and only the span matters *)
   let pid_bits = 7 lsl 20 in
   let ids = [ pid_bits lor 2; pid_bits lor 5; pid_bits lor 40 ] in
-  let t = create ~block_limit:64 () in
-  let m, r, contents = machine_with_set ~addr:0x100 ids in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Alcotest.(check int) "wide ids still compile" 1 (Cfpre.size t);
-  (match Cfpre.check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
-   | Cfpre.Hit { entry; _ } ->
+  let t = Fastpath.table () in
+  let m, r, contents = Fastpath.predset ~addr:0x100 ids in
+  compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  Alcotest.(check int) "wide ids still compile" 1 (counter t "compiles");
+  (match check t ~m ~pid:1 ~site:0x40 ~pred_ref:r with
+   | Cfpre.Hit entry ->
      List.iter
        (fun b -> Alcotest.(check bool) "compiled id is a member" true (Cfpre.member entry b))
        ids;
@@ -84,63 +80,21 @@ let test_globally_unique_ids () =
      Alcotest.(check bool) "negative id is not" false (Cfpre.member entry (-1))
    | v -> Alcotest.failf "expected Hit, got %s" (verdict_name v))
 
-let test_span_bound_declines () =
-  let t = create ~block_limit:64 () in
-  (* span 65 (> 64) must decline; the site simply stays on the slow path *)
-  let _, r, contents = machine_with_set ~addr:0x100 [ 100; 164 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Alcotest.(check int) "over-span set not compiled" 0 (Cfpre.size t);
-  (* span exactly 64 is fine *)
-  let _, r2, c2 = machine_with_set ~addr:0x200 [ 100; 163 ] in
-  Cfpre.compile t ~pid:1 ~site:0x44 ~pred_ref:r2 ~contents:c2;
-  Alcotest.(check int) "at-span set compiled" 1 (Cfpre.size t);
-  (* malformed contents (not a multiple of 8, or empty) decline too *)
-  Cfpre.compile t ~pid:1 ~site:0x48 ~pred_ref:r ~contents:"short";
-  Cfpre.compile t ~pid:1 ~site:0x4c ~pred_ref:r ~contents:"";
-  Alcotest.(check int) "malformed sets not compiled" 1 (Cfpre.size t)
-
 let test_fallbacks () =
-  let t = create () in
-  let m, r, contents = machine_with_set ~addr:0x100 [ 3; 7 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
+  let t = Fastpath.table () in
+  let m, r, contents = Fastpath.predset ~addr:0x100 [ 3; 7 ] in
+  compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
   (* a moved/forged reference: same site, different (addr, len, mac) *)
-  check_is "forged mac falls back" "Fallback(ref)" t ~m ~pid:1 ~site:0x40
+  check_is "forged mac falls back" "cf_fallback_ref" t ~m ~pid:1 ~site:0x40
     ~pred_ref:{ r with Encoded.as_mac = String.make 16 'f' };
-  check_is "moved addr falls back" "Fallback(ref)" t ~m ~pid:1 ~site:0x40
+  check_is "moved addr falls back" "cf_fallback_ref" t ~m ~pid:1 ~site:0x40
     ~pred_ref:{ r with Encoded.as_addr = 0x104 };
   (* the reference matches but the guest bytes moved out from under it *)
   assert (Machine.write_byte m (0x100 + 3) 0xff);
-  check_is "mutated guest bytes fall back" "Fallback(contents)" t ~m ~pid:1 ~site:0x40
+  check_is "mutated guest bytes fall back" "cf_fallback_contents" t ~m ~pid:1 ~site:0x40
     ~pred_ref:r;
-  Alcotest.(check int) "fallbacks counted" 3 (Cfpre.fallbacks t);
-  Alcotest.(check int) "no false hits" 0 (Cfpre.hits t)
-
-let test_pid_lifecycle () =
-  let t = create () in
-  let m, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Cfpre.compile t ~pid:2 ~site:0x40 ~pred_ref:r ~contents;
-  Alcotest.(check int) "two entries" 2 (Cfpre.size t);
-  Cfpre.prepare_pid t 1;
-  check_is "exec emptied pid 1" "Miss" t ~m ~pid:1 ~site:0x40 ~pred_ref:r;
-  check_is "pid 2 stays warm" "Hit" t ~m ~pid:2 ~site:0x40 ~pred_ref:r;
-  Cfpre.invalidate_pid t 2;
-  Alcotest.(check int) "both invalidations counted" 2 (Cfpre.invalidations t);
-  Alcotest.(check int) "table empty" 0 (Cfpre.size t)
-
-let test_max_sites_bound () =
-  let t = create ~max_sites:1 () in
-  let _, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  Cfpre.compile t ~pid:1 ~site:0x44 ~pred_ref:r ~contents;
-  Alcotest.(check int) "bound holds" 1 (Cfpre.size t);
-  Alcotest.(check int) "one compile" 1 (Cfpre.compiles t);
-  Alcotest.check_raises "max_sites 0 refused"
-    (Invalid_argument "Cfpre.create: max_sites must be >= 1") (fun () ->
-      ignore (create ~max_sites:0 ()));
-  Alcotest.check_raises "block_limit 0 refused"
-    (Invalid_argument "Cfpre.create: block_limit must be >= 1") (fun () ->
-      ignore (create ~block_limit:0 ()))
+  Alcotest.(check int) "fallbacks counted" 3 (counter t "fallbacks");
+  Alcotest.(check int) "no false hits" 0 (counter t "hits")
 
 (* ---- the amortized chain step vs the one-shot MAC ---- *)
 
@@ -148,26 +102,20 @@ let test_chain_step_equals_one_shot () =
   (* the fast path's single-block CMAC over the serialized policy state
      must equal the slow path's Cmac.mac of Encoded.state_bytes — the tag
      written back to guest memory is bit-identical on both paths *)
-  let t = create () in
-  let _, r, contents = machine_with_set ~addr:0x100 [ 3 ] in
-  Cfpre.compile t ~pid:1 ~site:0x40 ~pred_ref:r ~contents;
-  let m2, _, _ = machine_with_set ~addr:0x100 [ 3 ] in
-  match Cfpre.check t ~m:m2 ~pid:1 ~site:0x40 ~pred_ref:r with
-  | Cfpre.Hit { scratch = sc; _ } ->
-    List.iter
-      (fun (counter, last_block) ->
-        Cfpre.state_into sc ~counter ~last_block;
-        Alcotest.(check string)
-          (Printf.sprintf "state (%d, %d)" counter last_block)
-          (Encoded.state_bytes ~counter ~last_block)
-          (Bytes.to_string sc.Cfpre.ps_state);
-        Cmac.mac_block_into key sc.Cfpre.ps_state ~dst:sc.Cfpre.ps_tag;
-        Alcotest.(check string)
-          (Printf.sprintf "tag (%d, %d)" counter last_block)
-          (Cmac.mac key (Encoded.state_bytes ~counter ~last_block))
-          (Bytes.to_string sc.Cfpre.ps_tag))
-      [ (0, 0); (1, 7); (12345, (9 lsl 20) lor 3); (max_int, max_int) ]
-  | v -> Alcotest.failf "expected Hit, got %s" (verdict_name v)
+  let sc = (Sitetab.find (Fastpath.table ()).tab ~pid:1 ~site:0x40).Sitetab.scratch in
+  List.iter
+    (fun (counter, last_block) ->
+      Cfpre.state_into sc ~counter ~last_block;
+      Alcotest.(check string)
+        (Printf.sprintf "state (%d, %d)" counter last_block)
+        (Encoded.state_bytes ~counter ~last_block)
+        (Bytes.to_string sc.Sitetab.ps_state);
+      Cmac.mac_block_into key sc.Sitetab.ps_state ~dst:sc.Sitetab.ps_tag;
+      Alcotest.(check string)
+        (Printf.sprintf "tag (%d, %d)" counter last_block)
+        (Cmac.mac key (Encoded.state_bytes ~counter ~last_block))
+        (Bytes.to_string sc.Sitetab.ps_tag))
+    [ (0, 0); (1, 7); (12345, (9 lsl 20) lor 3); (max_int, max_int) ]
 
 let test_word_accessors_round_trip () =
   (* the allocation-free word accessors must agree with the boxed pair for
@@ -195,11 +143,7 @@ let () =
         [ Alcotest.test_case "compile then hit" `Quick test_compile_and_hit;
           Alcotest.test_case "globally-unique ids use the base offset" `Quick
             test_globally_unique_ids;
-          Alcotest.test_case "span bound declines compilation" `Quick
-            test_span_bound_declines;
-          Alcotest.test_case "forged ref / mutated bytes fall back" `Quick test_fallbacks;
-          Alcotest.test_case "pid lifecycle" `Quick test_pid_lifecycle;
-          Alcotest.test_case "max_sites and block_limit bounds" `Quick test_max_sites_bound ] );
+          Alcotest.test_case "forged ref / mutated bytes fall back" `Quick test_fallbacks ] );
       ( "chain",
         [ Alcotest.test_case "chain step equals one-shot MAC" `Quick
             test_chain_step_equals_one_shot;

@@ -290,6 +290,60 @@ let test_normalize_blocks_symlink_swap () =
     Alcotest.(check bool) ("symlink swap: " ^ reason) true (String.length reason > 0)
   | _ -> Alcotest.fail "symlink redirection not blocked"
 
+(* ---- a deny keeps step 3's resolution in its telemetry record ---- *)
+
+let deployment kernel = Asc_core.Checker.deployment ~kernel ~key ~normalize_paths:true ()
+
+(* A monitor, run before the checker, that overwrites the policy state's
+   lbMAC at a site's [visit]th trap, as a memory-corruption attack would. *)
+let corrupt_lbmac ~visit _kernel =
+  let seen = Hashtbl.create 8 in
+  { Kernel.monitor_name = "corrupt-lbmac";
+    pre_syscall =
+      (fun p ~site ~number:_ ->
+        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen site) in
+        Hashtbl.replace seen site n;
+        let m = p.Process.machine in
+        if n = visit then
+          ignore (Svm.Machine.write_mem m ~addr:(m.Svm.Machine.regs.(10) + 8) (String.make 16 'x'));
+        Kernel.Allow);
+    post_syscall = Kernel.no_post }
+
+(* [src] is denied once, at [step], and [n] calls (the denied one among
+   them) recorded step 3's resolution [cf]. *)
+let denied_with ~monitors ~step cf n src =
+  match run ~monitors (install src).Asc_core.Installer.image with
+  | kernel, _, Svm.Machine.Killed _ ->
+    let agg = Asc_obs.Telemetry.aggregate (Kernel.telemetry kernel) in
+    Alcotest.(check (list (pair string int))) "one deny" [ (step, 1) ]
+      agg.Asc_obs.Telemetry.t_deny_steps;
+    Alcotest.(check int) (Asc_obs.Telemetry.cf_label cf) n
+      agg.Asc_obs.Telemetry.t_cf.(Asc_obs.Telemetry.cf_index cf)
+  | _ -> Alcotest.failf "not denied at %s" step
+
+let test_deny_keeps_cf_resolution () =
+  let loop = "int main() { int k; for (k = 0; k < 5; k = k + 1) { getpid(); } return 0; }" in
+  (* step 3 denies the first trap of the program (slow path), then a
+     site's third, after a second that hit the bitset as it does *)
+  denied_with ~monitors:[ corrupt_lbmac ~visit:1; deployment ] ~step:"control_flow"
+    Asc_obs.Telemetry.Cf_slow 1 loop;
+  denied_with ~monitors:[ corrupt_lbmac ~visit:3; deployment ] ~step:"control_flow"
+    Asc_obs.Telemetry.Cf_hit 2 loop;
+  (* normalization, which runs after step 3, denies the repeat of an open
+     whose path has since become a symlink: a bitset hit *)
+  denied_with ~monitors:[ deployment ] ~step:"normalization" Asc_obs.Telemetry.Cf_hit 1
+    {|
+int main() {
+  int k;
+  close(open("/tmp/g", 65, 420));
+  for (k = 0; k < 2; k = k + 1) {
+    close(open("/tmp/f", 65, 420));
+    if (k == 0) { unlink("/tmp/f"); symlink("/tmp/g", "/tmp/f"); }
+  }
+  return 0;
+}
+|}
+
 let test_normalize_allows_plain_file () =
   let inst = install motd_reader in
   let setup (k : Kernel.t) =
@@ -318,4 +372,6 @@ let () =
           Alcotest.test_case "fd reuse after close" `Quick test_captrack_fd_reuse_after_close ] );
       ( "normalize",
         [ Alcotest.test_case "symlink swap blocked" `Quick test_normalize_blocks_symlink_swap;
+          Alcotest.test_case "a deny keeps step 3's resolution" `Quick
+            test_deny_keeps_cf_resolution;
           Alcotest.test_case "plain file allowed" `Quick test_normalize_allows_plain_file ] ) ]

@@ -15,16 +15,21 @@ let mac_a = String.make 16 'a'
 let mac_b = String.make 16 'b'
 let ckey ?(pid = 1) site = Vcache.Call { pid; site; encoded = Printf.sprintf "enc%d" site }
 
+(* a cache with its own registry, and a reader for what it publishes there *)
+let create ~capacity =
+  let registry = Asc_obs.Metrics.create () in
+  (Vcache.create ~capacity ~registry (), fun name -> Fastpath.count registry ("vcache." ^ name))
+
 let test_lru_eviction () =
-  let vc = Vcache.create ~capacity:2 ~registry:(Asc_obs.Metrics.create ()) () in
+  let vc, metric = create ~capacity:2 in
   Vcache.remember vc (ckey 1) ~mac:mac_a;
   Vcache.remember vc (ckey 2) ~mac:mac_a;
-  Alcotest.(check int) "full" 2 (Vcache.size vc);
+  Alcotest.(check int) "full" 2 (metric "size");
   (* touch entry 1 so entry 2 becomes least-recently-used *)
   Alcotest.(check bool) "entry 1 hits" true (Vcache.check vc (ckey 1) ~mac:mac_a);
   Vcache.remember vc (ckey 3) ~mac:mac_a;
-  Alcotest.(check int) "still bounded" 2 (Vcache.size vc);
-  Alcotest.(check int) "one eviction" 1 (Vcache.evictions vc);
+  Alcotest.(check int) "still bounded" 2 (metric "size");
+  Alcotest.(check int) "one eviction" 1 (metric "evictions");
   Alcotest.(check bool) "LRU entry 2 evicted" false (Vcache.check vc (ckey 2) ~mac:mac_a);
   Alcotest.(check bool) "entry 1 survives" true (Vcache.check vc (ckey 1) ~mac:mac_a);
   Alcotest.(check bool) "entry 3 present" true (Vcache.check vc (ckey 3) ~mac:mac_a)
@@ -32,7 +37,7 @@ let test_lru_eviction () =
 let test_key_covers_tag () =
   (* the supplied tag is part of the entry: a tampered MAC misses even when
      the covered bytes match, and tampered bytes miss under the right MAC *)
-  let vc = Vcache.create ~capacity:8 ~registry:(Asc_obs.Metrics.create ()) () in
+  let vc, _ = create ~capacity:8 in
   Vcache.remember vc (ckey 1) ~mac:mac_a;
   Alcotest.(check bool) "same bytes, same tag" true (Vcache.check vc (ckey 1) ~mac:mac_a);
   Alcotest.(check bool) "same bytes, forged tag" false (Vcache.check vc (ckey 1) ~mac:mac_b);
@@ -45,16 +50,16 @@ let test_key_covers_tag () =
     (Vcache.check vc (Vcache.Str { pid = 1; bytes = "/bin/sh" }) ~mac:mac_a)
 
 let test_pid_isolation () =
-  (* invalidating pid 1 must drop exactly its entries: a recycled pid 1
-     starts cold while pid 2's warm entries are untouched *)
-  let vc = Vcache.create ~capacity:8 ~registry:(Asc_obs.Metrics.create ()) () in
+  (* invalidating pid 1 must drop exactly its entries: pid 1 starts cold
+     while pid 2's warm entries are untouched *)
+  let vc, metric = create ~capacity:8 in
   Vcache.remember vc (ckey ~pid:1 1) ~mac:mac_a;
   Vcache.remember vc (ckey ~pid:1 2) ~mac:mac_a;
   Vcache.remember vc (ckey ~pid:2 1) ~mac:mac_a;
   Vcache.remember vc (Vcache.Str { pid = 1; bytes = "s" }) ~mac:mac_a;
   Vcache.invalidate_pid vc 1;
-  Alcotest.(check int) "three entries dropped" 3 (Vcache.invalidations vc);
-  Alcotest.(check int) "pid 2's entry remains" 1 (Vcache.size vc);
+  Alcotest.(check int) "three entries dropped" 3 (metric "invalidations");
+  Alcotest.(check int) "pid 2's entry remains" 1 (metric "size");
   Alcotest.(check bool) "pid 1 call cold" false (Vcache.check vc (ckey ~pid:1 1) ~mac:mac_a);
   Alcotest.(check bool) "pid 1 string cold" false
     (Vcache.check vc (Vcache.Str { pid = 1; bytes = "s" }) ~mac:mac_a);
